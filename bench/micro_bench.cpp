@@ -5,6 +5,8 @@
 // (Table 1) are made of.
 #include <benchmark/benchmark.h>
 
+#include <map>
+
 #include "consensus/raft_node.h"
 #include "crypto/merkle_tree.h"
 #include "crypto/sha256.h"
@@ -47,19 +49,48 @@ static void BM_MerkleAppend(benchmark::State& state)
 }
 BENCHMARK(BM_MerkleAppend)->Arg(16)->Arg(256);
 
-static void BM_MerkleProof(benchmark::State& state)
+/// A tree one leaf short of `n`, built once per size: at 2^k - 1 leaves
+/// root() and path() walk the longest ragged right edge (k - 1 hashes on
+/// top of the cached perfect subtrees), the worst case for a given depth.
+static const crypto::MerkleTree& merkle_tree_below(int64_t n)
 {
-  crypto::MerkleTree tree;
-  for (int i = 0; i < 256; ++i)
+  static std::map<int64_t, crypto::MerkleTree> trees;
+  auto it = trees.find(n);
+  if (it == trees.end())
   {
-    tree.append(crypto::sha256("leaf" + std::to_string(i)));
+    std::vector<crypto::Digest> leaves;
+    leaves.reserve(static_cast<size_t>(n - 1));
+    for (int64_t i = 0; i + 1 < n; ++i)
+    {
+      leaves.push_back(crypto::sha256("leaf" + std::to_string(i)));
+    }
+    it = trees.emplace(n, crypto::MerkleTree(std::move(leaves))).first;
   }
+  return it->second;
+}
+
+static void BM_MerkleRoot(benchmark::State& state)
+{
+  const auto& tree = merkle_tree_below(state.range(0));
   for (auto _ : state)
   {
-    benchmark::DoNotOptimize(tree.path(128));
+    benchmark::DoNotOptimize(tree.root());
   }
 }
-BENCHMARK(BM_MerkleProof);
+BENCHMARK(BM_MerkleRoot)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
+
+static void BM_MerklePath(benchmark::State& state)
+{
+  const auto& tree = merkle_tree_below(state.range(0));
+  size_t index = 0;
+  for (auto _ : state)
+  {
+    // A fresh leaf each iteration, spread over the whole tree.
+    index = (index * 2654435761u + 1) % tree.size();
+    benchmark::DoNotOptimize(tree.path(index));
+  }
+}
+BENCHMARK(BM_MerklePath)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 
 static void BM_MessageSerialize(benchmark::State& state)
 {

@@ -131,6 +131,19 @@ echo "=== release smallbank load smoke (seed 2026, determinism) ==="
 echo "=== tsan smallbank load smoke (threads=4) ==="
 ./build-tsan/bench/smallbank_load --seed=2026 --threads=4 --ticks=200
 
+# SmallBank serving soak: 20,000 ticks (~8k committed transactions) on one
+# shard under a 1 GiB address-space cap and a 60 s wall-clock cap. The run
+# takes about a second and 600 MB; a per-transaction cost that grows with
+# history length (a Merkle root recomputed from every leaf, a session
+# rescanning the ledger, a second copy of each observation list) blows
+# one of the caps long before a user notices.
+echo "=== release smallbank serving soak (20k ticks, 1 GiB cap) ==="
+(
+  ulimit -v $((1024 * 1024))
+  timeout 60 ./build-release/bench/smallbank_load --seed=2026 --threads=1 \
+    --ticks=20000
+)
+
 # UBSan over the driver-facing suites: crash-restart recovery and the
 # nemesis stress pointer/variant/overflow-heavy paths (ledger rebuilds,
 # message replay, schedule mutation), where UB would otherwise pass

@@ -1,5 +1,7 @@
 #include "consensus/ledger.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace scv::consensus
@@ -43,7 +45,12 @@ namespace scv::consensus
   Index Ledger::append(Entry entry)
   {
     tree_.append(entry_digest(entry));
+    const bool data = entry.type == EntryType::Data;
     entries_.push_back(std::move(entry));
+    if (data)
+    {
+      data_indices_.push_back(last_index());
+    }
     return last_index();
   }
 
@@ -55,6 +62,7 @@ namespace scv::consensus
       "cannot truncate below the snapshot at " << start_index_);
     entries_.resize(new_last - start_index_);
     tree_.truncate(new_last);
+    data_indices_.resize(data_count_upto(new_last));
   }
 
   void Ledger::compact(Index up_to)
@@ -94,13 +102,39 @@ namespace scv::consensus
     out.meta_ = meta;
     out.start_index_ = index;
     out.tree_ = crypto::MerkleTree(leaves);
+    for (Index i = 1; i <= index; ++i)
+    {
+      if (meta[i - 1].type == EntryType::Data)
+      {
+        out.data_indices_.push_back(i);
+      }
+    }
     return out;
+  }
+
+  size_t Ledger::data_count_upto(Index idx) const
+  {
+    return static_cast<size_t>(
+      std::upper_bound(data_indices_.begin(), data_indices_.end(), idx) -
+      data_indices_.begin());
+  }
+
+  Index Ledger::data_index(size_t k) const
+  {
+    SCV_CHECK_MSG(
+      k >= 1 && k <= data_indices_.size(), "no Data entry number " << k);
+    return data_indices_[k - 1];
   }
 
   crypto::Path Ledger::proof(Index idx) const
   {
-    SCV_CHECK(idx >= 1 && idx <= last_index());
-    return tree_.path(idx - 1);
+    return proof(idx, last_index());
+  }
+
+  crypto::Path Ledger::proof(Index idx, Index upto) const
+  {
+    SCV_CHECK(idx >= 1 && idx <= upto && upto <= last_index());
+    return tree_.path(idx - 1, upto);
   }
 
   const crypto::Digest& Ledger::leaf_digest(Index idx) const

@@ -14,6 +14,11 @@
 // all remain exact. Entry *content* below the hole (payloads, configs,
 // signatures) is recoverable only from the covering Snapshot artifact.
 //
+// The ledger also keeps the ascending indices of its Data (application)
+// entries, so "how many application transactions up to i" and "where is
+// the k-th one" are O(log n) and O(1) — the session's client-facing tx ids
+// are positions among Data entries.
+//
 // Indices are 1-based; index 0 means "nothing".
 #pragma once
 
@@ -105,6 +110,10 @@ namespace scv::consensus
     /// Valid below the hole too — proofs need only leaves.
     [[nodiscard]] crypto::Path proof(Index idx) const;
 
+    /// Inclusion proof for the entry at idx against the root over entries
+    /// (0, upto] — the root a signature at upto + 1 embeds. idx <= upto.
+    [[nodiscard]] crypto::Path proof(Index idx, Index upto) const;
+
     /// Merkle leaf (entry digest) at idx; valid below the hole.
     [[nodiscard]] const crypto::Digest& leaf_digest(Index idx) const;
 
@@ -119,6 +128,14 @@ namespace scv::consensus
     {
       return meta_;
     }
+
+    /// Number of Data entries at or below idx; exact below the hole.
+    /// O(log n).
+    [[nodiscard]] size_t data_count_upto(Index idx) const;
+
+    /// Ledger index of the k-th Data entry (1-based k, at most
+    /// data_count_upto(last_index())).
+    [[nodiscard]] Index data_index(size_t k) const;
 
     /// Index of the last Signature entry at or before idx (0 if none).
     [[nodiscard]] Index last_signature_at_or_before(Index idx) const;
@@ -149,5 +166,6 @@ namespace scv::consensus
     std::vector<EntryMeta> meta_; // metadata for (0, start_index_]
     Index start_index_ = 0;
     crypto::MerkleTree tree_; // leaves for (0, last_index()]
+    std::vector<Index> data_indices_; // ascending indices of Data entries
   };
 }

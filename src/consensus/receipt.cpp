@@ -34,16 +34,14 @@ namespace scv::consensus
       return std::nullopt;
     }
 
-    // Rebuild the tree over entries [1, sig_index) — the log "so far" at
-    // signing time. Leaves survive compaction, so receipts for entries
-    // below the hole still assemble as long as the signature does not.
-    crypto::MerkleTree tree(std::vector<crypto::Digest>(
-      ledger.leaves().begin(), ledger.leaves().begin() + (sig_index - 1)));
-
+    // Prove against the tree over entries [1, sig_index) — the log "so
+    // far" at signing time. Leaves survive compaction, so receipts for
+    // entries below the hole still assemble as long as the signature does
+    // not.
     Receipt r;
     r.index = index;
     r.entry_digest = ledger.leaf_digest(index);
-    r.path = tree.path(index - 1);
+    r.path = ledger.proof(index, sig_index - 1);
     r.signature_index = sig_index;
     const Entry& sig = ledger.at(sig_index);
     r.root = sig.root;

@@ -1,5 +1,7 @@
 #include "crypto/merkle_tree.h"
 
+#include <bit>
+
 #include "util/check.h"
 
 namespace scv::crypto
@@ -10,12 +12,23 @@ namespace scv::crypto
     /// split rule, which keeps the tree shape canonical for any size.
     size_t split_point(size_t n)
     {
-      size_t k = 1;
-      while (k * 2 < n)
+      return std::bit_floor(n - 1);
+    }
+  }
+
+  MerkleTree::MerkleTree(std::vector<Digest> leaves)
+  {
+    levels_[0] = std::move(leaves);
+    while (levels_.back().size() >= 2)
+    {
+      const auto& below = levels_.back();
+      std::vector<Digest> level;
+      level.reserve(below.size() / 2);
+      for (size_t j = 0; j + 1 < below.size(); j += 2)
       {
-        k *= 2;
+        level.push_back(combine(below[j], below[j + 1]));
       }
-      return k;
+      levels_.push_back(std::move(level));
     }
   }
 
@@ -31,16 +44,31 @@ namespace scv::crypto
 
   size_t MerkleTree::append(const Digest& leaf)
   {
-    leaves_.push_back(leaf);
-    return leaves_.size() - 1;
+    levels_[0].push_back(leaf);
+    // Each level whose size turns even has just completed a pair: push
+    // the pair's parent one level up.
+    for (size_t k = 0; levels_[k].size() % 2 == 0; ++k)
+    {
+      if (k + 1 == levels_.size())
+      {
+        levels_.emplace_back();
+      }
+      const auto& level = levels_[k];
+      const size_t n = level.size();
+      levels_[k + 1].push_back(combine(level[n - 2], level[n - 1]));
+    }
+    return levels_[0].size() - 1;
   }
 
   Digest MerkleTree::subtree_root(size_t begin, size_t end) const
   {
     const size_t n = end - begin;
-    if (n == 1)
+    if (std::has_single_bit(n))
     {
-      return leaves_[begin];
+      // The split recursion only reaches power-of-two ranges at aligned
+      // offsets, so this is one cached perfect subtree.
+      const int k = std::countr_zero(n);
+      return levels_[k][begin >> k];
     }
     const size_t k = split_point(n);
     return combine(
@@ -49,11 +77,11 @@ namespace scv::crypto
 
   Digest MerkleTree::root() const
   {
-    if (leaves_.empty())
+    if (size() == 0)
     {
       return sha256("");
     }
-    return subtree_root(0, leaves_.size());
+    return subtree_root(0, size());
   }
 
   void MerkleTree::collect_path(
@@ -79,16 +107,28 @@ namespace scv::crypto
 
   Path MerkleTree::path(size_t index) const
   {
-    SCV_CHECK(index < leaves_.size());
+    return path(index, size());
+  }
+
+  Path MerkleTree::path(size_t index, size_t at_size) const
+  {
+    SCV_CHECK(index < at_size && at_size <= size());
     Path out;
-    collect_path(0, leaves_.size(), index, out);
+    collect_path(0, at_size, index, out);
     return out;
   }
 
   void MerkleTree::truncate(size_t new_size)
   {
-    SCV_CHECK(new_size <= leaves_.size());
-    leaves_.resize(new_size);
+    SCV_CHECK(new_size <= size());
+    for (size_t k = 0; k < levels_.size(); ++k)
+    {
+      levels_[k].resize(new_size >> k);
+    }
+    while (levels_.size() > 1 && levels_.back().empty())
+    {
+      levels_.pop_back();
+    }
   }
 
   bool MerkleTree::verify_path(

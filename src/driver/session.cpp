@@ -31,49 +31,35 @@ namespace scv::driver
   std::vector<TxId> Session::app_txids_upto(
     const consensus::RaftNode& node, Index upto)
   {
-    // term_at/type_at are exact below a compaction hole, so the id list
-    // is identical whether the prefix was replayed or snapshotted away.
-    std::vector<TxId> out;
+    // The ledger's Data-entry index is exact below a compaction hole, so
+    // the id list is identical whether the prefix was replayed or
+    // snapshotted away.
     const auto& ledger = node.ledger();
-    for (Index i = 1; i <= upto && i <= ledger.last_index(); ++i)
+    const size_t count = ledger.data_count_upto(upto);
+    std::vector<TxId> out;
+    out.reserve(count);
+    for (size_t k = 1; k <= count; ++k)
     {
-      if (ledger.type_at(i) == EntryType::Data)
-      {
-        out.push_back(
-          TxId{ledger.term_at(i), static_cast<Index>(out.size() + 1)});
-      }
+      out.push_back(TxId{ledger.term_at(ledger.data_index(k)), k});
     }
     return out;
   }
 
-  std::vector<TxId> Session::committed_app_txids(
-    const consensus::RaftNode& node)
-  {
-    return app_txids_upto(node, node.commit_index());
-  }
-
   Session::Pending* Session::find(uint64_t client_seq)
   {
-    for (auto& p : pending_)
-    {
-      if (p.client_seq == client_seq)
-      {
-        return &p;
-      }
-    }
-    return nullptr;
+    const auto& self = *this;
+    return const_cast<Pending*>(self.find(client_seq));
   }
 
   const Session::Pending* Session::find(uint64_t client_seq) const
   {
-    for (const auto& p : pending_)
-    {
-      if (p.client_seq == client_seq)
-      {
-        return &p;
-      }
-    }
-    return nullptr;
+    const auto it = std::lower_bound(
+      pending_.begin(),
+      pending_.end(),
+      client_seq,
+      [](const Pending& p, uint64_t seq) { return p.client_seq < seq; });
+    return it != pending_.end() && it->client_seq == client_seq ? &*it :
+                                                                  nullptr;
   }
 
   std::optional<uint64_t> Session::submit_rw(
@@ -100,17 +86,13 @@ namespace scv::driver
 
     // The response carries the application-level tx id: (term, position
     // among application transactions) — and everything observed before it.
-    const auto observed = app_txids_upto(node, raw->index - 1);
-    const TxId app_id{raw->term, static_cast<Index>(observed.size() + 1)};
-
     ClientEvent res;
     res.kind = ClientEventKind::RwRes;
     res.client_seq = seq;
-    res.txid = app_id;
-    res.observed = observed;
-    history_.push_back(res);
-
-    pending_.push_back({seq, false, app_id, *raw, observed, false});
+    res.observed = app_txids_upto(node, raw->index - 1);
+    res.txid = TxId{raw->term, static_cast<Index>(res.observed.size() + 1)};
+    pending_.push_back({seq, false, res.txid, *raw, history_.size()});
+    history_.push_back(std::move(res));
     note_batched_submit();
     return seq;
   }
@@ -215,17 +197,14 @@ namespace scv::driver
     {
       return seq;
     }
-    const auto observed = app_txids_upto(node, node.ledger().last_index());
-    const TxId at{node.current_term(), static_cast<Index>(observed.size())};
-
     ClientEvent res;
     res.kind = ClientEventKind::RoRes;
     res.client_seq = seq;
-    res.txid = at;
-    res.observed = observed;
-    history_.push_back(res);
-
-    pending_.push_back({seq, true, at, TxId{}, observed, false});
+    res.observed = app_txids_upto(node, node.ledger().last_index());
+    res.txid =
+      TxId{node.current_term(), static_cast<Index>(res.observed.size())};
+    pending_.push_back({seq, true, res.txid, TxId{}, history_.size()});
+    history_.push_back(std::move(res));
     return seq;
   }
 
@@ -247,19 +226,23 @@ namespace scv::driver
     // transactions) is COMMITTED when the node's committed application
     // prefix covers position i and agrees with what was observed, and
     // INVALID when the committed prefix covers i but diverges.
-    const auto committed = committed_app_txids(node);
+    const auto& ledger = node.ledger();
+    const auto committed = [&](size_t k) {
+      return TxId{ledger.term_at(ledger.data_index(k)), k};
+    };
     const size_t at = p->txid.index;
     TxStatus status = TxStatus::Pending;
-    if (committed.size() >= at)
+    if (ledger.data_count_upto(node.commit_index()) >= at)
     {
+      const auto& observed = history_[p->response].observed;
       bool matches = true;
-      for (size_t k = 0; k < p->observed.size() && k < at; ++k)
+      for (size_t k = 1; matches && k <= observed.size() && k <= at; ++k)
       {
-        matches = matches && committed[k] == p->observed[k];
+        matches = committed(k) == observed[k - 1];
       }
       if (!p->read_only && matches)
       {
-        matches = at >= 1 && committed[at - 1] == p->txid;
+        matches = at >= 1 && committed(at) == p->txid;
       }
       status = matches ? TxStatus::Committed : TxStatus::Invalid;
     }

@@ -204,7 +204,9 @@ namespace scv::driver
       /// Raw ledger id ((view, seqno)); index 0 when never executed or
       /// read-only.
       consensus::TxId raw;
-      std::vector<consensus::TxId> observed;
+      /// Position of the response event (which carries `observed`) in
+      /// history_.
+      size_t response;
       bool terminal = false;
     };
 
@@ -212,10 +214,6 @@ namespace scv::driver
     /// index), in order.
     static std::vector<consensus::TxId> app_txids_upto(
       const consensus::RaftNode& node, consensus::Index upto);
-
-    /// Application-transaction ids in `node`'s *committed* prefix.
-    static std::vector<consensus::TxId> committed_app_txids(
-      const consensus::RaftNode& node);
 
     /// Speculative read view of a node: ordered-but-uncommitted write
     /// sets in its ledger overlaid on its committed store.
@@ -229,7 +227,7 @@ namespace scv::driver
     Cluster& cluster_;
     SessionOptions options_;
     std::vector<ClientEvent> history_;
-    std::vector<Pending> pending_;
+    std::vector<Pending> pending_; // ascending client_seq
     std::vector<consensus::TxId> batch_signatures_;
     size_t batch_fill_ = 0;
     uint64_t next_seq_ = 1;

@@ -3,6 +3,8 @@
 // casual verification, broadened with parameterized seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
 
 #include "consensus/ledger.h"
@@ -18,33 +20,102 @@ using namespace scv::consensus;
 
 // ---------------------------------------------------------------------------
 // Merkle tree vs a naive recompute-from-scratch reference, under random
-// append/truncate interleavings.
+// append/truncate interleavings, across power-of-two sizes, and between
+// the appending and the bulk (snapshot-install) constructions.
 // ---------------------------------------------------------------------------
 
 namespace
 {
-  crypto::Digest naive_root(const std::vector<crypto::Digest>& leaves)
+  using Leaves = std::vector<crypto::Digest>;
+
+  /// RFC 6962 split: largest power of two strictly below n (n >= 2).
+  size_t naive_split(size_t n)
+  {
+    size_t k = 1;
+    while (k * 2 < n)
+    {
+      k *= 2;
+    }
+    return k;
+  }
+
+  /// Root over leaves[begin, end), recomputed from scratch.
+  crypto::Digest naive_subtree(const Leaves& leaves, size_t begin, size_t end)
+  {
+    if (end - begin == 1)
+    {
+      return leaves[begin];
+    }
+    const size_t k = naive_split(end - begin);
+    return crypto::MerkleTree::combine(
+      naive_subtree(leaves, begin, begin + k),
+      naive_subtree(leaves, begin + k, end));
+  }
+
+  crypto::Digest naive_root(const Leaves& leaves)
   {
     if (leaves.empty())
     {
       return crypto::sha256("");
     }
-    // Recursive RFC-6962 shape, recomputed from scratch.
-    std::function<crypto::Digest(size_t, size_t)> sub =
-      [&](size_t begin, size_t end) -> crypto::Digest {
-      if (end - begin == 1)
+    return naive_subtree(leaves, 0, leaves.size());
+  }
+
+  /// RFC 6962 PATH(index, D[0:size]), recomputed from scratch: siblings
+  /// from the leaf up.
+  crypto::Path naive_path(const Leaves& leaves, size_t index, size_t size)
+  {
+    crypto::Path out;
+    size_t begin = 0;
+    size_t end = size;
+    while (end - begin > 1)
+    {
+      const size_t k = naive_split(end - begin);
+      if (index < begin + k)
       {
-        return leaves[begin];
+        out.push_back({naive_subtree(leaves, begin + k, end), false});
+        end = begin + k;
       }
-      size_t k = 1;
-      while (k * 2 < end - begin)
+      else
       {
-        k *= 2;
+        out.push_back({naive_subtree(leaves, begin, begin + k), true});
+        begin += k;
       }
-      return crypto::MerkleTree::combine(
-        sub(begin, begin + k), sub(begin + k, end));
-    };
-    return sub(0, leaves.size());
+    }
+    return {out.rbegin(), out.rend()};
+  }
+
+  Leaves random_leaves(Rng& rng, size_t n)
+  {
+    Leaves out;
+    out.reserve(n);
+    for (size_t i = 0; i < n; ++i)
+    {
+      out.push_back(crypto::sha256("leaf" + std::to_string(rng.next())));
+    }
+    return out;
+  }
+
+  /// Leaf indices to check against the O(n)-per-path reference in a tree
+  /// of `size` leaves: every one while small, else both ends, both sides
+  /// of the middle, and a random sample.
+  std::vector<size_t> probe_indices(Rng& rng, size_t size)
+  {
+    std::vector<size_t> out;
+    if (size <= 64)
+    {
+      for (size_t i = 0; i < size; ++i)
+      {
+        out.push_back(i);
+      }
+      return out;
+    }
+    out = {0, size / 2 - 1, size / 2, size - 1};
+    for (int r = 0; r < 4; ++r)
+    {
+      out.push_back(rng.below(size));
+    }
+    return out;
   }
 }
 
@@ -55,7 +126,7 @@ TEST_P(MerklePropertyTest, MatchesNaiveReferenceUnderRandomOps)
 {
   Rng rng(GetParam());
   crypto::MerkleTree tree;
-  std::vector<crypto::Digest> reference;
+  Leaves reference;
   for (int op = 0; op < 300; ++op)
   {
     if (reference.empty() || rng.below(100) < 70)
@@ -73,17 +144,209 @@ TEST_P(MerklePropertyTest, MatchesNaiveReferenceUnderRandomOps)
     }
     ASSERT_EQ(tree.root(), naive_root(reference)) << "op " << op;
     ASSERT_EQ(tree.size(), reference.size());
+    ASSERT_EQ(tree.leaves(), reference);
+    if (!reference.empty())
+    {
+      const size_t i = rng.below(reference.size());
+      ASSERT_EQ(tree.path(i), naive_path(reference, i, reference.size()))
+        << "op " << op << " leaf " << i;
+    }
   }
-  // All inclusion proofs of the final tree verify.
+  // Every inclusion proof of the final tree equals the reference path
+  // byte for byte, and verifies.
   for (size_t i = 0; i < reference.size(); ++i)
   {
-    EXPECT_TRUE(
-      crypto::MerkleTree::verify_path(reference[i], tree.path(i), tree.root()));
+    const auto path = tree.path(i);
+    EXPECT_EQ(path, naive_path(reference, i, reference.size())) << i;
+    EXPECT_TRUE(crypto::MerkleTree::verify_path(reference[i], path, tree.root()));
+  }
+}
+
+TEST_P(MerklePropertyTest, PowerOfTwoBoundariesUpTo4097Leaves)
+{
+  // Grow one leaf at a time through 2^12 + 1, checking the root and the
+  // paths at every size next to a power of two — where the cached levels
+  // gain a new top — plus proofs against every older size (receipts).
+  Rng rng(GetParam() * 7919);
+  const Leaves reference = random_leaves(rng, 4097);
+  crypto::MerkleTree tree;
+  for (size_t n = 1; n <= reference.size(); ++n)
+  {
+    tree.append(reference[n - 1]);
+    const bool boundary = std::has_single_bit(n) ||
+      std::has_single_bit(n + 1) || std::has_single_bit(n - 1);
+    if (!boundary)
+    {
+      continue;
+    }
+    const Leaves prefix(reference.begin(), reference.begin() + n);
+    ASSERT_EQ(tree.root(), naive_root(prefix)) << n << " leaves";
+    for (const size_t i : probe_indices(rng, n))
+    {
+      ASSERT_EQ(tree.path(i), naive_path(prefix, i, n))
+        << "leaf " << i << " of " << n;
+      const size_t older = i + 1 + rng.below(n - i);
+      ASSERT_EQ(tree.path(i, older), naive_path(prefix, i, older))
+        << "leaf " << i << " against size " << older << " of " << n;
+    }
+  }
+
+  // Truncation back across the same boundaries, then regrowth.
+  for (const size_t keep : {4096u, 4095u, 2049u, 1024u, 1023u, 3u, 1u, 0u})
+  {
+    tree.truncate(keep);
+    const Leaves prefix(reference.begin(), reference.begin() + keep);
+    ASSERT_EQ(tree.root(), naive_root(prefix)) << keep;
+  }
+  for (size_t n = 0; n < 1025; ++n)
+  {
+    tree.append(reference[n]);
+  }
+  const Leaves regrown(reference.begin(), reference.begin() + 1025);
+  ASSERT_EQ(tree.root(), naive_root(regrown));
+  ASSERT_EQ(tree.path(1000), naive_path(regrown, 1000, 1025));
+}
+
+TEST_P(MerklePropertyTest, LeavesConstructorEqualsAppending)
+{
+  // The bulk construction (Ledger::from_snapshot) and leaf-by-leaf
+  // appending agree in the root and every path, and keep agreeing after
+  // further appends and truncations.
+  Rng rng(GetParam() * 104729);
+  for (const size_t n :
+       {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 31u, 32u, 33u, 255u, 256u, 257u,
+        1023u, 1024u, 1025u, 4095u, 4096u, 4097u})
+  {
+    const Leaves leaves = random_leaves(rng, n);
+    crypto::MerkleTree appended;
+    for (const auto& leaf : leaves)
+    {
+      appended.append(leaf);
+    }
+    crypto::MerkleTree built(leaves);
+    ASSERT_EQ(built.size(), n);
+    ASSERT_EQ(built.leaves(), leaves);
+    ASSERT_EQ(built.root(), appended.root()) << n << " leaves";
+    for (size_t i = 0; i < n; ++i)
+    {
+      ASSERT_EQ(built.path(i), appended.path(i)) << "leaf " << i << " of " << n;
+    }
+
+    const auto extra = random_leaves(rng, 1 + rng.below(5));
+    for (const auto& leaf : extra)
+    {
+      built.append(leaf);
+      appended.append(leaf);
+    }
+    ASSERT_EQ(built.root(), appended.root());
+    const size_t keep = rng.below(built.size() + 1);
+    built.truncate(keep);
+    appended.truncate(keep);
+    ASSERT_EQ(built.root(), appended.root()) << "truncated to " << keep;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
   Seeds, MerklePropertyTest, ::testing::Values(1, 2, 3, 4, 5));
+
+// ---------------------------------------------------------------------------
+// Ledger Data-entry index vs a naive type_at scan, under random
+// append/truncate/compact interleavings and snapshot rebuilds.
+// ---------------------------------------------------------------------------
+
+namespace
+{
+  void expect_data_index_matches_scan(const Ledger& ledger, int op)
+  {
+    std::vector<Index> naive;
+    for (Index i = 1; i <= ledger.last_index(); ++i)
+    {
+      if (ledger.type_at(i) == EntryType::Data)
+      {
+        naive.push_back(i);
+      }
+    }
+    for (Index i = 0; i <= ledger.last_index() + 2; ++i)
+    {
+      const auto count = static_cast<size_t>(
+        std::upper_bound(naive.begin(), naive.end(), i) - naive.begin());
+      ASSERT_EQ(ledger.data_count_upto(i), count) << "op " << op << " idx " << i;
+    }
+    for (size_t k = 1; k <= naive.size(); ++k)
+    {
+      ASSERT_EQ(ledger.data_index(k), naive[k - 1]) << "op " << op << " k " << k;
+    }
+    EXPECT_THROW((void)ledger.data_index(naive.size() + 1), CheckFailure);
+  }
+}
+
+class DataIndexPropertyTest : public ::testing::TestWithParam<uint64_t>
+{};
+
+TEST_P(DataIndexPropertyTest, MatchesNaiveScanUnderRandomOps)
+{
+  Rng rng(GetParam() * 6151);
+  Ledger ledger;
+  Term term = 1;
+  for (int op = 0; op < 400; ++op)
+  {
+    const uint64_t roll = rng.below(100);
+    if (ledger.empty() || roll < 60)
+    {
+      Entry e;
+      term += rng.below(100) < 5 ? 1 : 0;
+      e.term = term;
+      const uint64_t kind = rng.below(10);
+      e.type = kind < 6 ? EntryType::Data :
+        kind < 9        ? EntryType::Signature :
+                          EntryType::Reconfiguration;
+      e.data = "op" + std::to_string(op);
+      ledger.append(e);
+    }
+    else if (roll < 80)
+    {
+      const Index floor = ledger.start_index();
+      ledger.truncate(floor + rng.below(ledger.last_index() - floor + 1));
+    }
+    else
+    {
+      // Compact at, or rebuild from a snapshot of, a random signature
+      // above the hole.
+      std::vector<Index> sigs;
+      for (Index i = ledger.start_index() + 1; i <= ledger.last_index(); ++i)
+      {
+        if (ledger.type_at(i) == EntryType::Signature)
+        {
+          sigs.push_back(i);
+        }
+      }
+      if (sigs.empty())
+      {
+        continue;
+      }
+      const Index at = sigs[rng.below(sigs.size())];
+      if (roll < 90)
+      {
+        ledger.compact(at);
+      }
+      else
+      {
+        std::vector<EntryMeta> meta;
+        for (Index i = 1; i <= at; ++i)
+        {
+          meta.push_back({ledger.term_at(i), ledger.type_at(i)});
+        }
+        const std::vector<crypto::Digest> leaves(
+          ledger.leaves().begin(), ledger.leaves().begin() + at);
+        ledger = Ledger::from_snapshot(at, meta, leaves);
+      }
+    }
+    expect_data_index_matches_scan(ledger, op);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+  Seeds, DataIndexPropertyTest, ::testing::Values(1, 2, 3, 4, 5));
 
 // ---------------------------------------------------------------------------
 // Ledger agreement estimate vs a naive linear search.

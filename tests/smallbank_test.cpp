@@ -4,6 +4,9 @@
 // consistency trace validator.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 
 #include "app/smallbank/load.h"
@@ -307,6 +310,89 @@ TEST(SmallBankLoad, HistoryRoundTripsAndValidatesThroughTraceValidator)
   const auto r = trace::validate_consistency_trace(prefix);
   EXPECT_TRUE(r.ok) << "matched " << r.lines_matched << " of "
                     << prefix.size() << "; failed: " << r.failed_line;
+}
+
+TEST(SmallBankLoad, HistoryGoldenAcrossLeaderChange)
+{
+  // Pins the exact bytes of a session history: a fixed-seed load run,
+  // then an open batch stranded on an isolated leader, a forced election,
+  // and traffic through the new leader. The strand exercises INVALID
+  // statuses (checked below); the digest turns "the serving path's
+  // history is unchanged" into a checked property.
+  LoadOptions options;
+  options.seed = 23;
+  options.workload.accounts = 8;
+  options.duration_ticks = 600;
+  options.submit_period = 2;
+  options.batch_size = 4;
+  LoadRunner runner(options);
+  const LoadResult result = runner.run();
+  ASSERT_GT(result.committed, 100u);
+
+  auto& c = runner.cluster();
+  auto& session = runner.session();
+  Rng rng(29);
+  const auto submit_ops = [&](int n) {
+    for (int i = 0; i < n; ++i)
+    {
+      const Op op = next_op(rng, options.workload);
+      if (op.kind == OpKind::Balance)
+      {
+        session.submit_ro();
+        continue;
+      }
+      session.submit_app([&](kv::Tx& tx) { return execute(tx, op).ok; });
+    }
+  };
+  const auto settle = [&](int ticks) {
+    for (int i = 0; i < ticks; ++i)
+    {
+      c.tick_all();
+      c.drain();
+    }
+  };
+
+  const auto old_leader = c.find_leader();
+  ASSERT_TRUE(old_leader.has_value());
+  submit_ops(6); // on the old leader, just before it is cut off
+  c.isolate(*old_leader);
+  submit_ops(3); // on the isolated old leader
+  const NodeId other = *old_leader == 1 ? 2 : 1;
+  c.node(other).force_timeout();
+  settle(120);
+  const auto new_leader = c.find_leader();
+  ASSERT_TRUE(new_leader.has_value());
+  ASSERT_NE(*new_leader, *old_leader);
+  submit_ops(10);
+  session.flush();
+  c.heal();
+  settle(200);
+  const uint64_t last_seq = session.history().back().client_seq;
+  for (uint64_t seq = 1; seq <= last_seq; ++seq)
+  {
+    session.poll(seq);
+  }
+
+  size_t invalid = 0;
+  for (const auto& ev : session.history())
+  {
+    invalid += ev.kind == driver::ClientEventKind::Status &&
+        ev.status == TxStatus::Invalid ?
+      1 :
+      0;
+  }
+  EXPECT_GT(invalid, 0u);
+
+  const std::string path = testing::TempDir() + "smallbank_golden.jsonl";
+  ASSERT_TRUE(trace::write_client_history(path, session.history()));
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes(
+    (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  EXPECT_EQ(
+    crypto::digest_to_hex(crypto::sha256(bytes)),
+    "24bf9ed84a3d7464c1aa702b7d5800d8585d45541f00acb7025045efdd07fb87")
+    << session.history().size() << " events";
 }
 
 TEST(ClientHistoryIo, PrefixWithinCutsAtFirstOutOfBoundResponse)

@@ -113,10 +113,31 @@ namespace scv::bench
     return sweep;
   }
 
+  /// The CPU model from /proc/cpuinfo ("unknown" where there is none),
+  /// recorded next to hardware_threads so committed numbers name their
+  /// hardware.
+  inline std::string cpu_model()
+  {
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line))
+    {
+      if (line.rfind("model name", 0) == 0)
+      {
+        const size_t colon = line.find(':');
+        if (colon != std::string::npos && colon + 2 <= line.size())
+        {
+          return line.substr(colon + 2);
+        }
+      }
+    }
+    return "unknown";
+  }
+
   /// Accumulates one bench's runs and writes BENCH_<name>.json in the
   /// working directory. Schema:
   ///   {
-  ///     "bench": "<name>", "hardware_threads": H,
+  ///     "bench": "<name>", "hardware_threads": H, "cpu": "<model>",
   ///     "runs": [{"label": ..., "threads": T, "states_per_s": ...,
   ///               "distinct_states": ..., "seconds": ...}, ...],
   ///     ...extra scalar fields...
@@ -165,11 +186,13 @@ namespace scv::bench
     void write() const
     {
       scv::json::Object payload;
+      payload.reserve(4 + extra_.size());
       payload.emplace_back("bench", name_);
       payload.emplace_back(
         "hardware_threads",
         static_cast<uint64_t>(
           std::max(1u, std::thread::hardware_concurrency())));
+      payload.emplace_back("cpu", cpu_model());
       payload.emplace_back("runs", runs_);
       for (const auto& [key, value] : extra_)
       {

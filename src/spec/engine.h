@@ -18,7 +18,7 @@
 //                    engine's result through one code path.
 //
 // The `threads` semantics are documented once, in docs/SPEC.md
-// ("threads semantics"): 1 = the sequential reference engine
+// ("threads semantics"): 1 = one worker on the caller's thread
 // (bit-identical results), 0 = one worker per hardware thread, N > 1 =
 // N workers with identical verdicts/totals.
 #pragma once
@@ -72,8 +72,8 @@ namespace scv::spec
     /// Wall-clock budget for the whole run.
     double time_budget_seconds = 1e18;
     /// Worker threads — see docs/SPEC.md "threads semantics":
-    /// 1 = sequential reference engine (bit-identical), 0 = one worker
-    /// per hardware thread, N > 1 = N workers.
+    /// 1 = one worker on the caller's thread (bit-identical), 0 = one
+    /// worker per hardware thread, N > 1 = N workers.
     unsigned threads = 1;
     /// Symmetry reduction (docs/SPEC.md "Symmetry reduction"): dedup
     /// states modulo the spec's Symmetry group by fingerprinting each

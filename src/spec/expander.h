@@ -14,6 +14,7 @@
 // max_faults_per_step >= 2.)
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <unordered_set>
@@ -60,17 +61,19 @@ namespace scv::spec
     /// Canonicalizer invocations (== fingerprints taken with symmetry on).
     [[nodiscard]] uint64_t canonicalized_count() const
     {
-      return counters_.canonicalized.load(std::memory_order_relaxed);
+      return sum(&Slot::canonicalized);
     }
 
     /// Canonicalizations that actually relabeled (non-identity orbit
     /// representative) — the states symmetry folded onto a sibling.
     [[nodiscard]] uint64_t symmetry_hit_count() const
     {
-      return counters_.hits.load(std::memory_order_relaxed);
+      return sum(&Slot::hits);
     }
 
-    [[nodiscard]] uint64_t fingerprint_of(const S& s) const
+    /// The dedup key of `s`. `worker` picks the symmetry counter slot, so
+    /// parallel workers count without sharing a cache line.
+    [[nodiscard]] uint64_t fingerprint_of(const S& s, unsigned worker = 0) const
     {
       if (!symmetry_on_)
       {
@@ -78,10 +81,11 @@ namespace scv::spec
       }
       bool changed = false;
       const uint64_t fp = canonical_fingerprint(spec_->symmetry, s, &changed);
-      counters_.canonicalized.fetch_add(1, std::memory_order_relaxed);
+      Slot& slot = slots_[worker % counter_slots];
+      slot.canonicalized.fetch_add(1, std::memory_order_relaxed);
       if (changed)
       {
-        counters_.hits.fetch_add(1, std::memory_order_relaxed);
+        slot.hits.fetch_add(1, std::memory_order_relaxed);
       }
       return fp;
     }
@@ -101,16 +105,24 @@ namespace scv::spec
     }
 
     /// Fingerprint-first insert into a store: dedup and predecessor
-    /// bookkeeping in one call.
+    /// bookkeeping in one call. `worker` is the caller's worker index
+    /// (the store's body arena and the symmetry counter slot).
     [[nodiscard]] typename ShardedStateStore<S>::InsertResult admit(
       ShardedStateStore<S>& store,
       const S& state,
       typename ShardedStateStore<S>::Id parent,
       uint32_t action,
-      uint32_t depth) const
+      uint32_t depth,
+      unsigned worker = 0) const
     {
       return store.insert(
-        state, fingerprint_of(state), parent, action, depth, origin_);
+        state,
+        fingerprint_of(state, worker),
+        parent,
+        action,
+        depth,
+        origin_,
+        worker);
     }
 
     /// Same, but keyed by a caller-salted fingerprint (the trace validator
@@ -121,9 +133,10 @@ namespace scv::spec
       uint64_t key,
       typename ShardedStateStore<S>::Id parent,
       uint32_t action,
-      uint32_t depth) const
+      uint32_t depth,
+      unsigned worker = 0) const
     {
-      return store.insert(state, key, parent, action, depth, origin_);
+      return store.insert(state, key, parent, action, depth, origin_, worker);
     }
 
     /// Fault expander (e.g. "drop any one in-flight message"), composed
@@ -202,36 +215,31 @@ namespace scv::spec
     }
 
   private:
-    /// Copyable relaxed counters: engines copy Expanders only while
-    /// quiescent (e.g. simulator fan-out construction), so a plain load
-    /// snapshot is exact.
-    struct Counters
+    /// One worker's symmetry counters, alone on its cache line.
+    struct alignas(64) Slot
     {
       std::atomic<uint64_t> canonicalized{0};
       std::atomic<uint64_t> hits{0};
-
-      Counters() = default;
-      Counters(const Counters& other) :
-        canonicalized(other.canonicalized.load(std::memory_order_relaxed)),
-        hits(other.hits.load(std::memory_order_relaxed))
-      {}
-      Counters& operator=(const Counters& other)
-      {
-        canonicalized.store(
-          other.canonicalized.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-        hits.store(
-          other.hits.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-        return *this;
-      }
     };
+
+    /// Workers beyond this share slots: still exact, the adds are atomic.
+    static constexpr size_t counter_slots = 64;
+
+    [[nodiscard]] uint64_t sum(std::atomic<uint64_t> Slot::*field) const
+    {
+      uint64_t total = 0;
+      for (const Slot& slot : slots_)
+      {
+        total += (slot.*field).load(std::memory_order_relaxed);
+      }
+      return total;
+    }
 
     const SpecDef<S>* spec_ = nullptr;
     std::function<void(const S&, const Emit<S>&)> fault_;
     size_t max_fault_layers_ = 0;
     uint8_t origin_ = 0;
     bool symmetry_on_ = false;
-    mutable Counters counters_;
+    mutable std::array<Slot, counter_slots> slots_;
   };
 }

@@ -7,20 +7,20 @@
 // action sequence that reaches it — the same workflow the paper describes
 // for translating spec counterexamples into functional tests (§7).
 //
-// One engine, one entry point: ModelChecker::check() (and the free
-// function model_check()) dispatch on CheckLimits::threads, exactly as
-// TraceValidator does:
-//   * threads = 1 runs the strictly sequential FIFO BFS — the reference
-//     semantics: deterministic traversal order, shortest counterexamples,
-//     bit-identical results run to run.
-//   * threads != 1 runs frontier-batched BFS over a WorkerPool and a
-//     sharded fingerprint store — TLC's multi-worker exploration model.
-//     All states at depth d form one work vector, workers claim items
-//     with an atomic cursor, expand actions, and collect the next
-//     frontier in per-worker vectors concatenated at the level barrier.
-//     First violation wins (a stop flag drains the other workers) and,
-//     because levels are processed in order, the reported trace is
-//     *level-minimal*: no strictly shorter counterexample exists.
+// One kernel, one entry point: ModelChecker::check() (and the free
+// function model_check()) run frontier-batched BFS over a WorkerPool of
+// CheckLimits::threads workers and a sharded fingerprint store — TLC's
+// multi-worker exploration model. All states at depth d form one work
+// vector of pointers to the bodies the store holds; workers claim items
+// with an atomic cursor, expand actions, admit successors into their own
+// body arenas, and collect the next frontier in per-worker vectors
+// concatenated at the level barrier.
+//   * threads = 1 is one worker inline on the caller over one dense
+//     shard: each level drains in insertion order, the classic FIFO BFS
+//     queue — shortest counterexamples, bit-identical results.
+//   * threads = N: the first violation wins (a stop flag drains the other
+//     workers) and, because levels are processed in order, the reported
+//     trace is *level-minimal*. The explored set does not depend on N.
 //
 // Campaign mode (campaign.h): attach_store() points the checker at a
 // shared ShardedStateStore instead of its private one. States already in
@@ -93,18 +93,26 @@ namespace scv::spec
     Counterexample<S> cex;
     cex.property = property;
 
-    std::vector<uint32_t> actions; // root first; actions[0] == init_action
+    // The chain target first: each step's action name, and the bodies
+    // still live from the target back (all of them in full mode).
+    std::vector<std::string> names;
+    std::vector<const S*> live;
     for (auto cur = id;;)
     {
       const auto r = store.record(cur);
-      actions.push_back(r.action);
+      names.push_back(
+        r.action == Store::init_action ? "<init>" :
+                                         spec.actions[r.action].name);
+      if (r.body != nullptr && live.size() + 1 == names.size())
+      {
+        live.push_back(r.body);
+      }
       if (r.parent == Store::no_parent)
       {
         break;
       }
       cur = r.parent;
     }
-    std::reverse(actions.begin(), actions.end());
 
     const auto path = store.reconstruct_path(
       id,
@@ -112,38 +120,19 @@ namespace scv::spec
       [&](const S& s, uint32_t action, uint32_t, const Emit<S>& emit) {
         spec.actions[action].expand(s, emit);
       });
-    if (path.has_value() && path->size() == actions.size())
+    if (path.has_value() && path->size() == names.size())
     {
-      for (size_t i = 0; i < actions.size(); ++i)
+      for (size_t i = 0; i < names.size(); ++i)
       {
-        cex.steps.push_back(
-          {actions[i] == Store::init_action ? "<init>" :
-                                              spec.actions[actions[i]].name,
-           (*path)[i]});
+        cex.steps.push_back({names[names.size() - 1 - i], (*path)[i]});
       }
       return cex;
     }
-
     // Fallback: the live-body suffix of the chain.
-    std::vector<TraceStep<S>> reversed;
-    for (auto cur = id;;)
+    for (size_t i = live.size(); i-- > 0;)
     {
-      const auto r = store.record(cur);
-      if (r.body == nullptr)
-      {
-        break;
-      }
-      reversed.push_back(
-        {r.action == Store::init_action ? "<init>" :
-                                          spec.actions[r.action].name,
-         *r.body});
-      if (r.parent == Store::no_parent)
-      {
-        break;
-      }
-      cur = r.parent;
+      cex.steps.push_back({names[i], *live[i]});
     }
-    cex.steps.assign(reversed.rbegin(), reversed.rend());
     return cex;
   }
 
@@ -170,24 +159,30 @@ namespace scv::spec
       expander_.set_origin(static_cast<uint8_t>(origin));
     }
 
-    /// Unified entry point: dispatches on CheckLimits::threads (see
-    /// docs/SPEC.md "threads semantics"). A checker attached to a shared
-    /// store always runs the frontier-batched path, whose single-worker
-    /// schedule is the same global FIFO order as the sequential engine.
+    /// Runs the search with CheckLimits::threads workers (see docs/SPEC.md
+    /// "threads semantics").
     CheckResult<S> check()
     {
       frontier_out_.clear();
-      if (external_ == nullptr && resolve_worker_count(limits_.threads) == 1)
+      const WorkerPool pool(limits_.threads);
+      if (external_ == nullptr)
       {
-        return check_sequential();
+        // Over-provision shards (16x workers) so two workers rarely hash
+        // to the same stripe; one worker keeps a single dense shard.
+        owned_ = std::make_unique<Store>(
+          pool.size() == 1 ? 1 : 16 * static_cast<size_t>(pool.size()),
+          store_options());
       }
-      return check_parallel();
-    }
-
-    /// Legacy name for check().
-    CheckResult<S> run()
-    {
-      return check();
+      store().reserve_arenas(pool.size());
+      CheckResult<S> result = search(pool);
+      if (owned_ != nullptr)
+      {
+        // Teardown in parallel: each worker frees the bodies it admitted,
+        // on the thread whose allocator cache they came from.
+        pool.run([&](unsigned w) { owned_->release_arena(w); });
+        owned_.reset();
+      }
+      return result;
     }
 
     /// After an incomplete check(): the unexpanded BFS frontier — states
@@ -221,175 +216,26 @@ namespace scv::spec
       return opts;
     }
 
-    // ---- threads == 1, private store: the sequential reference engine --
-
-    /// The store's byte ceiling, treated like an exhausted work budget.
+    /// The store's byte ceiling, treated like an exhausted work budget
+    /// (store_bytes() is wait-free, so workers poll it).
     [[nodiscard]] bool over_memory_budget()
     {
       return limits_.store.memory_budget_bytes > 0 &&
         store().store_bytes() > limits_.store.memory_budget_bytes;
     }
 
-    CheckResult<S> check_sequential()
-    {
-      owned_ = std::make_unique<Store>(1, store_options());
-      Budget budget(limits_.budget_caps());
-      CheckResult<S> result;
-
-      for (const S& init : spec_.init)
-      {
-        const auto ins = expander_.admit(
-          store(), init, Store::no_parent, Store::init_action, 0);
-        if (ins.inserted)
-        {
-          result.stats.generated_states++;
-          if (!check_state(init, ins.id, result))
-          {
-            finish(result, budget, false);
-            return result;
-          }
-        }
-        else
-        {
-          result.stats.duplicate_states++;
-        }
-      }
-
-      // With a single shard, IDs are dense 0..size-1 in insertion order, so
-      // a cursor over IDs is the classic FIFO BFS queue.
-      size_t cursor = 0;
-      while (cursor < store().size())
-      {
-        if (budget.exhausted(store().size()) || over_memory_budget())
-        {
-          export_sequential_frontier(cursor);
-          finish(result, budget, false);
-          return result;
-        }
-        if ((cursor & 0xFFFF) == 0)
-        {
-          // Block-granularity housekeeping; no-op without a spill_dir.
-          store().maybe_spill();
-        }
-
-        const auto current = static_cast<Id>(cursor++);
-        // Stable arenas: references stay valid across inserts (full-mode
-        // bodies live in a deque, frontier bodies in a node-based map).
-        const S& state = *store().record(current).body;
-        const uint32_t depth = store().record(current).depth;
-        result.stats.max_depth =
-          std::max<uint64_t>(result.stats.max_depth, depth);
-
-        if (!expander_.within_constraint(state) ||
-            budget.depth_exceeded(depth))
-        {
-          // Gated states are never expanded: they leave the frontier now.
-          store().drop_body(current);
-          continue;
-        }
-
-        bool violated = false;
-        for (size_t a = 0; a < spec_.actions.size() && !violated; ++a)
-        {
-          spec_.actions[a].expand(state, [&](const S& next) {
-            if (violated)
-            {
-              return;
-            }
-            result.stats.generated_states++;
-            result.stats.transitions++;
-            result.stats.action_coverage[spec_.actions[a].name]++;
-            for (const auto& prop : spec_.action_properties)
-            {
-              if (!prop.check(state, next))
-              {
-                result.counterexample =
-                  build_counterexample(current, prop.name);
-                result.counterexample->steps.push_back(
-                  {spec_.actions[a].name, next});
-                violated = true;
-                return;
-              }
-            }
-            const auto ins = expander_.admit(
-              store(), next, current, static_cast<uint32_t>(a), depth + 1);
-            if (ins.inserted)
-            {
-              if (!check_state(next, ins.id, result))
-              {
-                violated = true;
-              }
-            }
-            else
-            {
-              result.stats.duplicate_states++;
-            }
-          });
-        }
-        if (violated)
-        {
-          // Note: no drop_body here — the violating chain's tail states
-          // are still live for reconstruct_counterexample's target match.
-          result.ok = false;
-          finish(result, budget, false);
-          return result;
-        }
-        // Expanded: the state leaves the frontier (fingerprint-only mode
-        // retires its body; full mode keeps everything).
-        store().drop_body(current);
-      }
-
-      finish(result, budget, true);
-      return result;
-    }
-
-    /// Budget cut the sequential run: records cursor..size-1 were admitted
-    /// but never expanded — that is the leftover frontier.
-    void export_sequential_frontier(size_t cursor)
-    {
-      // Unexpanded records never left the frontier, so their bodies are
-      // live in every store mode.
-      for (size_t i = cursor; i < store().size(); ++i)
-      {
-        frontier_out_.push_back(*store().record(static_cast<Id>(i)).body);
-      }
-    }
-
-    /// Checks invariants; records a counterexample and returns false on
-    /// violation.
-    bool check_state(
-      const S& state, Id id, CheckResult<S>& result)
-    {
-      for (const auto& inv : spec_.invariants)
-      {
-        if (!inv.check(state))
-        {
-          result.counterexample = build_counterexample(id, inv.name);
-          result.ok = false;
-          return false;
-        }
-      }
-      return true;
-    }
-
-    Counterexample<S> build_counterexample(Id id, const std::string& property)
-    {
-      return reconstruct_counterexample(store(), spec_, id, property);
-    }
-
-    // ---- threads != 1 or shared store: frontier-batched BFS over a
-    // WorkerPool (TLC's multi-worker model). A single worker drains each
-    // level in insertion order — the same global FIFO order as the
-    // sequential engine, so results match exactly. ----
-
+    /// A frontier entry refers to the state's body in the store, which
+    /// stays put until the level barrier drops it (store contract).
     struct Item
     {
-      S state;
+      const S* body;
       Id id;
       uint32_t depth;
     };
 
-    struct WorkerLocal
+    /// One worker's slice of the run, merged at the end; aligned so
+    /// neighbouring workers' counters never share a cache line.
+    struct alignas(64) WorkerLocal
     {
       std::vector<Item> next;
       uint64_t generated = 0;
@@ -411,20 +257,18 @@ namespace scv::spec
       std::optional<S> successor;
     };
 
-    CheckResult<S> check_parallel()
+    CheckResult<S> search(const WorkerPool& pool)
     {
-      const WorkerPool pool(limits_.threads);
-      if (external_ == nullptr)
-      {
-        // Over-provision shards (4x workers) so two workers rarely hash
-        // to the same stripe; a single worker keeps the sequential layout.
-        owned_ = std::make_unique<Store>(
-          pool.size() == 1 ? 1 : 4 * static_cast<size_t>(pool.size()),
-          store_options());
-      }
       Budget budget(limits_.budget_caps());
       CheckResult<S> result;
       violation_.reset();
+      std::atomic<bool> stop{false};
+      std::atomic<bool> out_of_budget{false};
+      std::vector<WorkerLocal> locals(pool.size());
+      for (auto& local : locals)
+      {
+        local.coverage.assign(spec_.actions.size(), 0);
+      }
 
       std::vector<Item> frontier;
 
@@ -440,79 +284,48 @@ namespace scv::spec
             // rest still deduplicate, which is their whole job).
             if (r.body != nullptr)
             {
-              frontier.push_back({*r.body, id, r.depth});
+              frontier.push_back({r.body, id, r.depth});
             }
           });
         result.stats.seeded_states = frontier.size();
       }
 
-      // Initial states are inserted and checked on the caller's thread, in
-      // spec order, exactly as the sequential engine does.
-      uint64_t inserted = 0;
+      // Initial states are admitted and checked by worker 0 (the caller),
+      // in spec order.
       for (const S& init : spec_.init)
       {
         const auto ins = expander_.admit(
           store(), init, Store::no_parent, Store::init_action, 0);
         if (!ins.inserted)
         {
-          result.stats.duplicate_states++;
+          locals[0].duplicates++;
           continue;
         }
-        inserted++;
-        result.stats.generated_states++;
-        for (const auto& inv : spec_.invariants)
+        locals[0].inserted++;
+        locals[0].generated++;
+        if (!invariants_hold(init, ins.id, stop))
         {
-          if (!inv.check(init))
-          {
-            result.counterexample =
-              reconstruct_counterexample(store(), spec_, ins.id, inv.name);
-            finish(result, budget, false, inserted);
-            return result;
-          }
+          break;
         }
-        frontier.push_back({init, ins.id, 0});
+        frontier.push_back({ins.body, ins.id, 0});
       }
-
-      std::atomic<bool> stop{false};
-      std::atomic<bool> out_of_budget{false};
 
       while (!frontier.empty() && !stop.load(std::memory_order_acquire))
       {
         std::atomic<size_t> cursor{0};
-        std::vector<WorkerLocal> locals(pool.size());
-        for (auto& local : locals)
-        {
-          local.coverage.assign(spec_.actions.size(), 0);
-        }
-
         pool.run([&](unsigned w) {
-          run_worker(frontier, cursor, stop, out_of_budget, budget, locals[w]);
+          run_worker(
+            w, frontier, cursor, stop, out_of_budget, budget, locals[w]);
         });
 
-        // Level barrier: merge worker stats and splice the next frontier
-        // (worker order, then generation order within a worker).
+        // Level barrier: splice the next frontier (worker order, then
+        // generation order within a worker — one worker's level is in ID
+        // order, the classic FIFO queue).
         std::vector<Item> next;
-        for (unsigned w = 0; w < pool.size(); ++w)
+        for (WorkerLocal& local : locals)
         {
-          WorkerLocal& local = locals[w];
-          result.stats.generated_states += local.generated;
-          result.stats.transitions += local.transitions;
-          result.stats.duplicate_states += local.duplicates;
-          inserted += local.inserted;
-          result.stats.max_depth =
-            std::max(result.stats.max_depth, local.max_depth);
-          for (size_t a = 0; a < local.coverage.size(); ++a)
-          {
-            if (local.coverage[a] > 0)
-            {
-              result.stats.action_coverage[spec_.actions[a].name] +=
-                local.coverage[a];
-            }
-          }
-          next.insert(
-            next.end(),
-            std::make_move_iterator(local.next.begin()),
-            std::make_move_iterator(local.next.end()));
+          next.insert(next.end(), local.next.begin(), local.next.end());
+          local.next.clear();
         }
 
         // Budget cut: the leftover frontier is everything admitted but
@@ -525,14 +338,14 @@ namespace scv::spec
             std::min(cursor.load(std::memory_order_relaxed), frontier.size());
           for (size_t i = claimed; i < frontier.size(); ++i)
           {
-            frontier_out_.push_back(std::move(frontier[i].state));
+            frontier_out_.push_back(*frontier[i].body);
           }
-          for (Item& item : next)
+          for (const Item& item : next)
           {
-            frontier_out_.push_back(std::move(item.state));
+            frontier_out_.push_back(*item.body);
           }
         }
-        // Level barrier (workers joined, store quiescent): the expanded
+        // Level barrier (workers parked, store quiescent): the expanded
         // level's states leave the frontier, and frozen arena blocks may
         // spill. Skipped on stop so a violation target's body stays live
         // for reconstruction.
@@ -547,6 +360,25 @@ namespace scv::spec
         frontier = std::move(next);
       }
 
+      uint64_t inserted = 0;
+      for (const WorkerLocal& local : locals)
+      {
+        result.stats.generated_states += local.generated;
+        result.stats.transitions += local.transitions;
+        result.stats.duplicate_states += local.duplicates;
+        inserted += local.inserted;
+        result.stats.max_depth =
+          std::max(result.stats.max_depth, local.max_depth);
+        for (size_t a = 0; a < local.coverage.size(); ++a)
+        {
+          if (local.coverage[a] > 0)
+          {
+            result.stats.action_coverage[spec_.actions[a].name] +=
+              local.coverage[a];
+          }
+        }
+      }
+
       if (violation_.has_value())
       {
         const Violation& v = *violation_;
@@ -557,19 +389,18 @@ namespace scv::spec
           result.counterexample->steps.push_back(
             {spec_.actions[v.action].name, *v.successor});
         }
-        finish(result, budget, false, inserted);
-        return result;
       }
-
       finish(
         result,
         budget,
-        !out_of_budget.load(std::memory_order_acquire),
+        !violation_.has_value() &&
+          !out_of_budget.load(std::memory_order_acquire),
         inserted);
       return result;
     }
 
     void run_worker(
+      unsigned w,
       const std::vector<Item>& frontier,
       std::atomic<size_t>& cursor,
       std::atomic<bool>& stop,
@@ -577,6 +408,9 @@ namespace scv::spec
       const Budget& budget,
       WorkerLocal& local)
     {
+      // size() sums every shard's published counter: poll it only when a
+      // state cap is set.
+      const bool capped = budget.caps().max_states != UINT64_MAX;
       for (;;)
       {
         if (stop.load(std::memory_order_acquire))
@@ -585,9 +419,9 @@ namespace scv::spec
         }
         // Check the budget before claiming, so an unexpanded item stays
         // in the frontier's unclaimed tail for the leftover export.
-        // store_bytes() is wait-free, so the byte ceiling is checked from
-        // workers just like the work counter.
-        if (budget.exhausted(store().size()) || over_memory_budget())
+        if (
+          budget.exhausted(capped ? store().size() : 0) ||
+          over_memory_budget())
         {
           out_of_budget.store(true, std::memory_order_release);
           stop.store(true, std::memory_order_release);
@@ -598,10 +432,11 @@ namespace scv::spec
         {
           return;
         }
-        const Item& item = frontier[i];
+        const Item item = frontier[i];
+        const S& state = *item.body;
 
         local.max_depth = std::max<uint64_t>(local.max_depth, item.depth);
-        if (!expander_.within_constraint(item.state) ||
+        if (!expander_.within_constraint(state) ||
             budget.depth_exceeded(item.depth))
         {
           continue;
@@ -610,7 +445,7 @@ namespace scv::spec
         bool violated = false;
         for (size_t a = 0; a < spec_.actions.size() && !violated; ++a)
         {
-          spec_.actions[a].expand(item.state, [&](const S& next) {
+          spec_.actions[a].expand(state, [&](const S& next) {
             if (violated || stop.load(std::memory_order_relaxed))
             {
               return;
@@ -620,7 +455,7 @@ namespace scv::spec
             local.coverage[a]++;
             for (const auto& prop : spec_.action_properties)
             {
-              if (!prop.check(item.state, next))
+              if (!prop.check(state, next))
               {
                 report_violation(
                   stop,
@@ -630,26 +465,24 @@ namespace scv::spec
               }
             }
             const auto ins = expander_.admit(
-              store(), next, item.id, static_cast<uint32_t>(a), item.depth + 1);
-            if (ins.inserted)
-            {
-              local.inserted++;
-              for (const auto& inv : spec_.invariants)
-              {
-                if (!inv.check(next))
-                {
-                  report_violation(
-                    stop, {inv.name, ins.id, 0, std::nullopt});
-                  violated = true;
-                  return;
-                }
-              }
-              local.next.push_back({next, ins.id, item.depth + 1});
-            }
-            else
+              store(),
+              next,
+              item.id,
+              static_cast<uint32_t>(a),
+              item.depth + 1,
+              w);
+            if (!ins.inserted)
             {
               local.duplicates++;
+              return;
             }
+            local.inserted++;
+            if (!invariants_hold(next, ins.id, stop))
+            {
+              violated = true;
+              return;
+            }
+            local.next.push_back({ins.body, ins.id, item.depth + 1});
           });
         }
         if (violated)
@@ -657,6 +490,21 @@ namespace scv::spec
           return;
         }
       }
+    }
+
+    /// Checks every invariant on a freshly admitted state; on a violation
+    /// reports it and returns false.
+    bool invariants_hold(const S& state, Id id, std::atomic<bool>& stop)
+    {
+      for (const auto& inv : spec_.invariants)
+      {
+        if (!inv.check(state))
+        {
+          report_violation(stop, {inv.name, id, 0, std::nullopt});
+          return false;
+        }
+      }
+      return true;
     }
 
     /// First violation wins; later reports are dropped.
@@ -678,7 +526,7 @@ namespace scv::spec
       CheckResult<S>& result,
       const Budget& budget,
       bool complete,
-      uint64_t inserted = UINT64_MAX)
+      uint64_t inserted)
     {
       result.stats.distinct_states =
         external_ != nullptr ? inserted : store().size();
@@ -709,8 +557,7 @@ namespace scv::spec
     std::optional<Violation> violation_;
   };
 
-  /// Entry point: dispatches on CheckLimits::threads. threads<=1 runs the
-  /// sequential reference engine; anything else runs the worker pool.
+  /// Entry point: one check() with CheckLimits::threads workers.
   template <SpecState S>
   CheckResult<S> model_check(const SpecDef<S>& spec, CheckLimits limits = {})
   {

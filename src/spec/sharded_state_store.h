@@ -15,12 +15,17 @@
 //     8-bit origin) per state, in 1 MiB slab blocks that never move, so
 //     record() references stay valid across inserts.
 //   * Bodies: StoreMode::full keeps every S for the store's lifetime
-//     (dedup falls back to operator== on fingerprint collision —
-//     bit-identical to the pre-mode store). StoreMode::fingerprint_only
-//     keeps bodies only for the frontier: engines call drop_body() once a
-//     state has been expanded, dedup is by fingerprint alone, and paths
-//     are rebuilt by replaying the recorded action chain from the initial
-//     states (reconstruct_path()).
+//     (dedup falls back to operator== on fingerprint collision), in
+//     per-worker arenas: insert() appends the body to a deque owned by
+//     the admitting worker, and the record keeps a pointer to it in a
+//     slab beside its hot record. One thread allocates — and, through
+//     release_arena(), frees — each worker's bodies.
+//     StoreMode::fingerprint_only keeps bodies only for the frontier, in
+//     a per-shard node map: engines call drop_body() once a state has
+//     been expanded, dedup is by fingerprint alone, and paths are rebuilt
+//     by replaying the recorded action chain from the initial states
+//     (reconstruct_path()). Either way a stored body never moves, so
+//     engines carry frontier states by the pointer insert() returns.
 //   * Spill: with StoreOptions::spill_dir set, maybe_spill() writes
 //     frozen (full) hot-arena blocks to an unlinked per-shard temp file
 //     and mmaps them back read-only, freeing the heap copy. Quiescent
@@ -29,23 +34,24 @@
 // Global state IDs are stable across shards: id = (local_index <<
 // shard_bits) | shard. Predecessor links stored in records use these
 // global IDs, so counterexample reconstruction walks parents across shard
-// boundaries exactly as the sequential checker walks its flat arena.
+// boundaries; a one-shard store's IDs are dense in insertion order.
 //
 // Concurrency contract (applies to size(), origin_count() and
 // store_bytes()/spilled_bytes(), all of which read atomics wait-free):
-//   * insert() may be called from any thread at any time; the wait-free
+//   * insert() may be called from any thread at any time, provided no
+//     two concurrent callers pass the same worker index; the wait-free
 //     readers above are exact once writers are quiescent and a monotone
 //     lower bound while they run.
-//   * record()/body() take no lock: call them only for IDs the caller
+//   * record() takes no lock: call it only for IDs the caller
 //     inserted itself, or once all writers have been joined
 //     (counterexample reconstruction happens after the worker pool
 //     stops).
 //   * drop_body() takes the shard lock, so it may run concurrently with
 //     insert() (the simulator and the validator's coverage tap retire
-//     bodies mid-run) — but never concurrently with a record()/body()
-//     reader of the same id.
-//   * maybe_spill(), for_each(), reconstruct_path() and clear() are
-//     quiescent-only.
+//     bodies mid-run) — but never concurrently with a record() reader of
+//     the same id.
+//   * maybe_spill(), for_each(), reconstruct_path(), reserve_arenas()
+//     and clear() are quiescent-only; release_arena() is teardown-only.
 #pragma once
 
 #include <algorithm>
@@ -193,6 +199,9 @@ namespace scv::spec
     {
       Id id;
       bool inserted;
+      /// The stored body when `inserted` (stable until dropped or
+      /// cleared); null for a duplicate.
+      const S* body = nullptr;
     };
 
     explicit ShardedStateStore(
@@ -211,6 +220,7 @@ namespace scv::spec
         ++shard_bits_;
       }
       shards_ = std::vector<Shard>(n);
+      reserve_arenas(1);
     }
 
     ~ShardedStateStore()
@@ -261,19 +271,39 @@ namespace scv::spec
       return static_cast<size_t>((fp ^ (fp >> 32)) & shard_mask_);
     }
 
+    /// Makes worker indices [0, workers) valid for insert(). Quiescent
+    /// callers only: engines call it before starting their workers.
+    void reserve_arenas(size_t workers)
+    {
+      while (arenas_.size() < workers)
+      {
+        arenas_.push_back(std::make_unique<Arena>());
+      }
+    }
+
+    /// Teardown only: frees the bodies `worker` admitted, from the
+    /// calling thread (the owning worker's). The store must be destroyed
+    /// or cleared right after.
+    void release_arena(size_t worker)
+    {
+      std::deque<S>().swap(arenas_[worker]->bodies);
+    }
+
     /// Inserts the state unless an equal state is already present.
     /// Full mode: fingerprint-first dedup, full state comparison only on
     /// fp collision. Fingerprint-only mode: the fingerprint alone decides
     /// — a genuine 64-bit collision silently conflates two states (the
     /// TLC trade; see StoreMode). `origin` tags the discovering engine
-    /// (first inserter wins the tag).
+    /// (first inserter wins the tag). `worker` picks the body arena (see
+    /// reserve_arenas()); concurrent callers must pass distinct indices.
     InsertResult insert(
       const S& state,
       uint64_t fp,
       Id parent,
       uint32_t action,
       uint32_t depth,
-      uint8_t origin = 0)
+      uint8_t origin = 0,
+      unsigned worker = 0)
     {
       const size_t shard_idx = shard_for_fingerprint(fp);
       Shard& shard = shards_[shard_idx];
@@ -290,7 +320,7 @@ namespace scv::spec
       {
         uint32_t hit = FlatFpTable::empty_slot;
         shard.index.find(fp, [&](uint32_t local) {
-          if (shard.bodies[local] == state)
+          if (*body_slot(shard, local) == state)
           {
             hit = local;
             return true;
@@ -306,16 +336,21 @@ namespace scv::spec
       const auto local = static_cast<uint32_t>(shard.count);
       hot_slot(shard, local) = {
         parent, action, (std::min(depth, depth_limit) << 8) | origin};
+      const S* body = nullptr;
       if (fingerprint_only())
       {
-        shard.frontier_bodies.emplace(local, state);
+        body = &shard.frontier_bodies.emplace(local, state).first->second;
         shard.body_bytes.fetch_add(
           frontier_body_bytes, std::memory_order_relaxed);
       }
       else
       {
-        shard.bodies.push_back(state);
-        shard.body_bytes.fetch_add(sizeof(S), std::memory_order_relaxed);
+        std::deque<S>& arena = arenas_[worker]->bodies;
+        arena.push_back(state);
+        body = &arena.back();
+        body_slot(shard, local) = body;
+        shard.body_bytes.fetch_add(
+          sizeof(S) + sizeof(const S*), std::memory_order_relaxed);
       }
       shard.index.insert(fp, local);
       shard.index_bytes.store(
@@ -326,7 +361,7 @@ namespace scv::spec
       shard.origin_counts[origin % max_origins].fetch_add(
         1, std::memory_order_relaxed);
       shard.published.store(shard.count, std::memory_order_release);
-      return {encode(shard_idx, local), true};
+      return {encode(shard_idx, local), true, body};
     }
 
     /// Total states stored. Exact when quiescent; during a run it is a
@@ -356,19 +391,11 @@ namespace scv::spec
         body_ptr(shard, local)};
     }
 
-    /// The state body, or nullptr once a fingerprint-only store dropped
-    /// it. Same contract as record().
-    [[nodiscard]] const S* body(Id id) const
-    {
-      return body_ptr(
-        shards_[shard_of(id)], static_cast<uint32_t>(local_of(id)));
-    }
-
     /// Fingerprint-only mode: retires the body of a state that has left
     /// the frontier (it was expanded, or will never be). Idempotent;
     /// no-op in full mode. Takes the shard lock, so it is safe against
     /// concurrent insert()s — but not against a concurrent
-    /// record()/body() reader of the same id (see the header contract).
+    /// record() reader of the same id (see the header contract).
     void drop_body(Id id)
     {
       if (!fingerprint_only())
@@ -601,7 +628,8 @@ namespace scv::spec
         levels.push_back(std::move(next));
       }
 
-      const S* want = target_hint != nullptr ? target_hint : body(target);
+      const S* want =
+        target_hint != nullptr ? target_hint : record(target).body;
       size_t pick = SIZE_MAX;
       const std::vector<Node>& finals = levels.back();
       if (want != nullptr)
@@ -643,7 +671,6 @@ namespace scv::spec
         std::lock_guard<std::mutex> lock(shard.mu);
         shard.index.clear();
         shard.blocks.clear();
-        shard.bodies.clear();
         shard.frontier_bodies.clear();
         shard.count = 0;
         shard.first_unspilled = 0;
@@ -657,6 +684,10 @@ namespace scv::spec
         shard.spilled_bytes.store(0, std::memory_order_relaxed);
         shard.rehashes.store(0, std::memory_order_relaxed);
         shard.published.store(0, std::memory_order_release);
+      }
+      for (size_t w = 0; w < arenas_.size(); ++w)
+      {
+        release_arena(w);
       }
     }
 
@@ -672,11 +703,21 @@ namespace scv::spec
     static constexpr size_t frontier_body_bytes = sizeof(S) + 48;
 
     /// One hot-arena slab. `data` points at the heap allocation until the
-    /// block is spilled, then at the read-only mapping.
+    /// block is spilled, then at the read-only mapping. Full mode keeps
+    /// the block's body pointers alongside (never spilled).
     struct Block
     {
       HotRecord* data = nullptr;
       std::unique_ptr<HotRecord[]> heap;
+      std::unique_ptr<const S*[]> bodies;
+    };
+
+    /// One worker's full-mode bodies (deque: growth never moves them).
+    /// Cache-line aligned so neighbouring workers' deque ends do not
+    /// share a line.
+    struct alignas(64) Arena
+    {
+      std::deque<S> bodies;
     };
 
     struct Shard
@@ -685,12 +726,9 @@ namespace scv::spec
       FlatFpTable index;
       std::vector<Block> blocks;
       uint32_t count = 0;
-      // StoreMode::full: bodies[local] for every record (deque: growth
-      // never moves existing bodies).
-      std::deque<S> bodies;
       // StoreMode::fingerprint_only: bodies for frontier records only.
-      // (Node-based map: references stay valid across inserts, so the
-      // sequential checker can hold its current state across admissions.)
+      // (Node-based map: references stay valid across inserts, so
+      // engines can carry frontier states by pointer.)
       std::unordered_map<uint32_t, S> frontier_bodies;
       // first-discovery counts per admission origin (EngineId byte);
       // atomics so origin_count() is wait-free like size().
@@ -713,9 +751,17 @@ namespace scv::spec
     {
       if ((local & block_mask) == 0)
       {
+        // Uninitialized: every slot is written when its record is
+        // admitted, so a mostly empty tail block (one per shard) stays
+        // mostly unresident.
         Block block;
-        block.heap = std::make_unique<HotRecord[]>(block_records);
+        block.heap = std::make_unique_for_overwrite<HotRecord[]>(block_records);
         block.data = block.heap.get();
+        if (!fingerprint_only())
+        {
+          block.bodies =
+            std::make_unique_for_overwrite<const S*[]>(block_records);
+        }
         shard.blocks.push_back(std::move(block));
         shard.heap_arena_bytes.fetch_add(
           block_bytes, std::memory_order_relaxed);
@@ -723,11 +769,17 @@ namespace scv::spec
       return shard.blocks[local >> block_shift].data[local & block_mask];
     }
 
+    /// Full mode: the body pointer slot of an allocated record.
+    static const S*& body_slot(const Shard& shard, uint32_t local)
+    {
+      return shard.blocks[local >> block_shift].bodies[local & block_mask];
+    }
+
     [[nodiscard]] const S* body_ptr(const Shard& shard, uint32_t local) const
     {
       if (!fingerprint_only())
       {
-        return &shard.bodies[local];
+        return body_slot(shard, local);
       }
       const auto it = shard.frontier_bodies.find(local);
       return it != shard.frontier_bodies.end() ? &it->second : nullptr;
@@ -800,6 +852,7 @@ namespace scv::spec
 
     StoreOptions options_;
     std::vector<Shard> shards_;
+    std::vector<std::unique_ptr<Arena>> arenas_;
     uint64_t shard_mask_ = 0;
     unsigned shard_bits_ = 0;
   };

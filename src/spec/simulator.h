@@ -150,11 +150,12 @@ namespace scv::spec
     /// other engines, never cleared), tagged `origin`. distinct_states in
     /// the result then counts only first discoveries by this run — states
     /// another engine already found are not re-counted. The store must
-    /// outlive the simulator.
+    /// be quiescent now and outlive the simulator.
     void attach_store(
       ShardedStateStore<S>* store, EngineId origin = EngineId::Simulator)
     {
       store_ = store;
+      store_->reserve_arenas(resolve_worker_count(options_.threads));
       expander_.set_origin(static_cast<uint8_t>(origin));
     }
 
@@ -207,7 +208,12 @@ namespace scv::spec
         if (store_ != nullptr)
         {
           const auto ins = expander_.admit(
-            *store_, current, Store::no_parent, Store::init_action, 0);
+            *store_,
+            current,
+            Store::no_parent,
+            Store::init_action,
+            0,
+            worker_);
           fresh += ins.inserted ? 1 : 0;
           cur_id = ins.id;
           // The walk keeps its own copy of every state and builds
@@ -305,7 +311,8 @@ namespace scv::spec
               current,
               cur_id,
               static_cast<uint32_t>(a),
-              static_cast<uint32_t>(depth + 1));
+              static_cast<uint32_t>(depth + 1),
+              worker_);
             fresh += ins.inserted ? 1 : 0;
             cur_id = ins.id;
             if (ins.inserted && store_->fingerprint_only())
@@ -363,6 +370,7 @@ namespace scv::spec
         if (store_ != nullptr)
         {
           sim.store_ = store_;
+          sim.worker_ = w;
           sim.expander_.set_origin(origin());
         }
         if (!seeds_.empty())
@@ -573,6 +581,8 @@ namespace scv::spec
     std::unordered_map<uint64_t, double> q_;
     const std::atomic<bool>* external_stop_ = nullptr;
     Store* store_ = nullptr;
+    /// Fan-out child: its worker index (the shared store's body arena).
+    unsigned worker_ = 0;
     std::vector<S> seeds_;
   };
 

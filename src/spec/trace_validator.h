@@ -14,8 +14,8 @@
 //    with the line number) whose predecessor links reconstruct a full
 //    witness behavior on success; expansion of each line is split across a
 //    WorkerPool (ValidationOptions::threads, same semantics as
-//    CheckLimits::threads — threads=1 is the bit-identical sequential
-//    reference).
+//    CheckLimits::threads — threads=1 is one inline worker, bit-identical
+//    run to run).
 //  * DFS looks for a single witness behavior with memoized dead ends —
 //    "orders of magnitude faster", which is what made trace validation
 //    usable in CI. The search runs an explicit frame stack (no recursion),
@@ -158,11 +158,12 @@ namespace scv::spec
     /// checker or simulator already found is deduplicated, not re-counted.
     /// Admissions are tagged `origin`; depth records the trace line. The
     /// validator's own search store/memo are unaffected. The store must
-    /// outlive the validator.
+    /// be quiescent now and outlive the validator.
     void set_coverage_store(
       ShardedStateStore<S>* store, EngineId origin = EngineId::Validator)
     {
       coverage_store_ = store;
+      coverage_store_->reserve_arenas(resolve_worker_count(options_.threads));
       expander_.set_origin(static_cast<uint8_t>(origin));
     }
 
@@ -209,8 +210,8 @@ namespace scv::spec
 
     /// Campaign coverage tap: admit a candidate the search just visited
     /// into the shared store (unsalted fingerprint — global dedup across
-    /// lines and engines). Thread-safe; no-op outside campaign mode.
-    void cover(const S& state, size_t line)
+    /// lines and engines). Thread-safe per worker; no-op outside campaigns.
+    void cover(const S& state, size_t line, unsigned worker = 0)
     {
       if (coverage_store_ != nullptr)
       {
@@ -219,7 +220,8 @@ namespace scv::spec
           state,
           Store::no_parent,
           Store::init_action,
-          static_cast<uint32_t>(line));
+          static_cast<uint32_t>(line),
+          worker);
         // Coverage admissions are pure membership: nothing ever walks
         // their (parentless) chains, so a fingerprint-only store can
         // retire the body immediately.
@@ -271,7 +273,8 @@ namespace scv::spec
       std::shared_ptr<PathNode> chain;
     };
 
-    struct Local
+    /// One worker's slice of a line, cache-line aligned against false sharing.
+    struct alignas(64) Local
     {
       std::vector<Item> next;
       uint64_t duplicates = 0;
@@ -283,6 +286,7 @@ namespace scv::spec
       Store store(
         pool.size() == 1 ? 1 : 4 * static_cast<size_t>(pool.size()),
         options_.store);
+      store.reserve_arenas(pool.size());
       const auto snapshot_store = [&] {
         result_.stats.store_bytes = store.store_bytes();
         result_.stats.spilled_bytes = store.spilled_bytes();
@@ -329,7 +333,7 @@ namespace scv::spec
 
         pool.run([&](unsigned w) {
           expand_line_worker(
-            store, frontier, line, cursor, stop, explored, locals[w]);
+            w, store, frontier, line, cursor, stop, explored, locals[w]);
         });
 
         result_.states_explored = explored.load(std::memory_order_relaxed);
@@ -444,6 +448,7 @@ namespace scv::spec
     }
 
     void expand_line_worker(
+      unsigned w,
       Store& store,
       const std::vector<Item>& frontier,
       size_t line,
@@ -470,13 +475,14 @@ namespace scv::spec
             const auto ins = expander_.admit_keyed(
               store,
               succ,
-              key(line + 1, expander_.fingerprint_of(succ)),
+              key(line + 1, expander_.fingerprint_of(succ, w)),
               item.id,
               static_cast<uint32_t>(line),
-              static_cast<uint32_t>(line + 1));
+              static_cast<uint32_t>(line + 1),
+              w);
             if (ins.inserted)
             {
-              cover(succ, line + 1);
+              cover(succ, line + 1, w);
               local.next.push_back(
                 {succ,
                  ins.id,
@@ -828,7 +834,7 @@ namespace scv::spec
     {
       if (task->line == lines_.size())
       {
-        cover(task->state, task->line);
+        cover(task->state, task->line, w);
         if (!shared.witness_claimed.exchange(
               true, std::memory_order_acq_rel))
         {
@@ -850,7 +856,7 @@ namespace scv::spec
         subtree_failed(shared, std::move(task), false);
         return;
       }
-      const uint64_t fp = expander_.fingerprint_of(task->state);
+      const uint64_t fp = expander_.fingerprint_of(task->state, w);
       if (shared.dead.contains(key(task->line, fp)))
       {
         local.memo_hits++;
@@ -869,7 +875,7 @@ namespace scv::spec
         local.deepest_frontier.push_back(task->state);
       }
       local.distinct++;
-      cover(task->state, task->line);
+      cover(task->state, task->line, w);
       task->fp = fp;
       std::vector<S> successors;
       expander_.with_faults(task->state, [&](const S& pre) {

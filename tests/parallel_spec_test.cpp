@@ -1,8 +1,14 @@
 // Tests for the parallel exploration engine: the sharded fingerprint
-// store's ID scheme and dedup, threads=1 equivalence with the sequential
-// reference engines, and multi-worker runs finding the same violations and
-// covering the same state space as single-worker runs.
+// store's ID scheme, dedup and per-worker body arenas, the persistent
+// worker pool, threads=1 equivalence between the checker's private-store
+// and shared-store routes, and multi-worker runs finding the same
+// violations and covering the same state space as single-worker runs.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <atomic>
+#include <stdexcept>
+#include <thread>
 
 #include "spec/model_checker.h"
 #include "spec/simulator.h"
@@ -208,10 +214,173 @@ TEST(ShardedStateStore, FingerprintCollisionFallsBackToStateComparison)
 }
 
 // ---------------------------------------------------------------------------
-// Frontier-batched path at one worker must reproduce the sequential
-// engine. The unified ModelChecker routes threads=1 to the sequential
-// path, so attaching an (empty) external store is what forces the
-// frontier path here — the same route campaign runs take.
+// WorkerPool: persistent threads, the caller as worker 0
+// ---------------------------------------------------------------------------
+
+TEST(WorkerPoolReuse, ThousandRunsSeeEveryWorkerOncePerRun)
+{
+  const WorkerPool pool(4);
+  std::array<std::atomic<uint32_t>, 4> hits{};
+  for (uint32_t run = 1; run <= 1000; ++run)
+  {
+    pool.run([&](unsigned w) {
+      ASSERT_LT(w, 4u);
+      hits[w].fetch_add(1, std::memory_order_relaxed);
+    });
+    // run() is a barrier: every worker has finished this run's call.
+    for (unsigned w = 0; w < 4; ++w)
+    {
+      ASSERT_EQ(hits[w].load(std::memory_order_relaxed), run) << "worker " << w;
+    }
+  }
+}
+
+TEST(WorkerPoolReuse, ThreadsPersistAcrossRuns)
+{
+  const WorkerPool pool(3);
+  std::array<std::thread::id, 3> first{};
+  pool.run([&](unsigned w) { first[w] = std::this_thread::get_id(); });
+  EXPECT_EQ(first[0], std::this_thread::get_id()); // the caller is worker 0
+  EXPECT_NE(first[1], first[2]);
+  for (int run = 0; run < 10; ++run)
+  {
+    pool.run([&](unsigned w) {
+      EXPECT_EQ(std::this_thread::get_id(), first[w]) << "worker " << w;
+    });
+  }
+}
+
+TEST(WorkerPoolReuse, SingleWorkerRunsOnCallerThread)
+{
+  const WorkerPool pool(1);
+  const auto caller = std::this_thread::get_id();
+  unsigned calls = 0;
+  for (int run = 0; run < 3; ++run)
+  {
+    pool.run([&](unsigned w) {
+      EXPECT_EQ(w, 0u);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      ++calls;
+    });
+  }
+  EXPECT_EQ(calls, 3u);
+}
+
+TEST(WorkerPoolReuse, DestructorJoinsWithoutAnyRun)
+{
+  for (int i = 0; i < 20; ++i)
+  {
+    const WorkerPool pool(4);
+    EXPECT_EQ(pool.size(), 4u);
+  }
+}
+
+TEST(WorkerPoolReuse, CallerExceptionWaitsForWorkersThenRethrows)
+{
+  const WorkerPool pool(4);
+  std::atomic<unsigned> finished{0};
+  EXPECT_THROW(
+    pool.run([&](unsigned w) {
+      if (w == 0)
+      {
+        throw std::runtime_error("worker 0");
+      }
+      finished.fetch_add(1, std::memory_order_relaxed);
+    }),
+    std::runtime_error);
+  EXPECT_EQ(finished.load(), 3u);
+  // The pool is still usable afterwards.
+  pool.run([&](unsigned) { finished.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_EQ(finished.load(), 7u);
+}
+
+// ---------------------------------------------------------------------------
+// Per-worker body arenas
+// ---------------------------------------------------------------------------
+
+// Four workers insert overlapping ranges into one full-mode store, each
+// into its own arena. Every record must point at a body equal to the state
+// that was admitted under its id, and the pointer insert() handed back
+// must be the one record() reads.
+TEST(BodyArenas, FourWorkerFullStoreKeepsEveryBody)
+{
+  using Store = ShardedStateStore<CounterState>;
+  const WorkerPool pool(4);
+  Store store(16);
+  store.reserve_arenas(pool.size());
+
+  struct Admitted
+  {
+    Store::Id id;
+    CounterState state;
+    const CounterState* body;
+  };
+  std::vector<std::vector<Admitted>> admitted(pool.size());
+  pool.run([&](unsigned w) {
+    // Worker w covers [w * 500, w * 500 + 1000): neighbours overlap by
+    // half, so half of every worker's inserts race a sibling's.
+    const int first = static_cast<int>(w) * 500;
+    for (int v = first; v < first + 1000; ++v)
+    {
+      const CounterState s{v};
+      const auto ins = store.insert(
+        s, fingerprint(s), Store::no_parent, Store::init_action, 0, 0, w);
+      if (ins.inserted)
+      {
+        ASSERT_NE(ins.body, nullptr);
+        admitted[w].push_back({ins.id, s, ins.body});
+      }
+      else
+      {
+        EXPECT_EQ(ins.body, nullptr);
+      }
+    }
+  });
+
+  size_t total = 0;
+  for (const auto& slice : admitted)
+  {
+    for (const Admitted& a : slice)
+    {
+      const auto r = store.record(a.id);
+      ASSERT_NE(r.body, nullptr);
+      EXPECT_EQ(r.body, a.body);
+      EXPECT_EQ(r.state(), a.state);
+      ++total;
+    }
+  }
+  EXPECT_EQ(total, 2500u); // values 0..2499, each admitted exactly once
+  EXPECT_EQ(store.size(), 2500u);
+
+  // Teardown the way the checker does it: each worker frees its arena.
+  pool.run([&](unsigned w) { store.release_arena(w); });
+}
+
+TEST(BodyArenas, ClearEmptiesArenasAndStoreStaysUsable)
+{
+  using Store = ShardedStateStore<CounterState>;
+  Store store(2);
+  store.reserve_arenas(2);
+  for (int v = 0; v < 100; ++v)
+  {
+    const CounterState s{v};
+    (void)store.insert(
+      s, fingerprint(s), Store::no_parent, Store::init_action, 0, 0, v % 2);
+  }
+  store.clear();
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.store_bytes(), 0u);
+  const CounterState s{7};
+  const auto ins = store.insert(
+    s, fingerprint(s), Store::no_parent, Store::init_action, 0, 0, 1);
+  ASSERT_TRUE(ins.inserted);
+  EXPECT_EQ(store.record(ins.id).state(), s);
+}
+
+// ---------------------------------------------------------------------------
+// One worker over an attached (empty) external store — the route campaign
+// runs take — must reproduce the private-store single-worker run, the
+// FIFO reference order.
 // ---------------------------------------------------------------------------
 
 namespace
@@ -229,7 +398,7 @@ namespace
 TEST(ModelCheckerFrontierPath, SingleWorkerMatchesSequentialOnCleanSpec)
 {
   const auto spec = counter_spec(100);
-  const auto sequential = ModelChecker<CounterState>(spec).run();
+  const auto sequential = ModelChecker<CounterState>(spec).check();
   CheckLimits limits;
   limits.threads = 1;
   const auto parallel = check_frontier_path(spec, limits);
@@ -247,7 +416,7 @@ TEST(ModelCheckerFrontierPath, SingleWorkerMatchesSequentialCounterexample)
   auto spec = counter_spec(10);
   spec.invariants.push_back(
     {"BelowFive", [](const CounterState& s) { return s.value < 5; }});
-  const auto sequential = ModelChecker<CounterState>(spec).run();
+  const auto sequential = ModelChecker<CounterState>(spec).check();
   CheckLimits limits;
   limits.threads = 1;
   const auto parallel = check_frontier_path(spec, limits);
@@ -274,7 +443,7 @@ TEST(ModelCheckerFrontierPath, SingleWorkerMatchesSequentialActionProperty)
     {"Monotonic", [](const CounterState& a, const CounterState& b) {
        return b.value >= a.value;
      }});
-  const auto sequential = ModelChecker<CounterState>(spec).run();
+  const auto sequential = ModelChecker<CounterState>(spec).check();
   CheckLimits limits;
   limits.threads = 1;
   const auto parallel = check_frontier_path(spec, limits);
@@ -287,7 +456,7 @@ TEST(ModelCheckerFrontierPath, SingleWorkerMatchesSequentialActionProperty)
 TEST(ModelCheckerFrontierPath, SingleWorkerMatchesSequentialDieHard)
 {
   const auto spec = die_hard_spec();
-  const auto sequential = ModelChecker<Jugs>(spec).run();
+  const auto sequential = ModelChecker<Jugs>(spec).check();
   CheckLimits limits;
   limits.threads = 1;
   const auto parallel = check_frontier_path(spec, limits);

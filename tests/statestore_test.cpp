@@ -276,16 +276,16 @@ TEST(StoreModes, DropBodyRetiresFrontierBodies)
   const auto ins =
     store.insert(s, fingerprint(s), Store::no_parent, Store::init_action, 0);
   ASSERT_TRUE(ins.inserted);
-  ASSERT_NE(store.body(ins.id), nullptr);
+  ASSERT_NE(store.record(ins.id).body, nullptr);
   EXPECT_EQ(store.record(ins.id).state(), s);
   const size_t with_body = store.store_bytes();
 
   store.drop_body(ins.id);
-  EXPECT_EQ(store.body(ins.id), nullptr);
+  EXPECT_EQ(store.record(ins.id).body, nullptr);
   EXPECT_EQ(store.record(ins.id).body, nullptr);
   EXPECT_LT(store.store_bytes(), with_body);
   store.drop_body(ins.id); // idempotent
-  EXPECT_EQ(store.body(ins.id), nullptr);
+  EXPECT_EQ(store.record(ins.id).body, nullptr);
 
   // The hot record survives the drop; dedup still works.
   EXPECT_FALSE(
@@ -297,7 +297,7 @@ TEST(StoreModes, DropBodyRetiresFrontierBodies)
   const auto fins =
     full.insert(s, fingerprint(s), Store::no_parent, Store::init_action, 0);
   full.drop_body(fins.id);
-  EXPECT_NE(full.body(fins.id), nullptr);
+  EXPECT_NE(full.record(fins.id).body, nullptr);
 }
 
 TEST(StoreModes, OriginCountsAreWaitFreeAndSumToSize)

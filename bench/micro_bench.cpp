@@ -190,11 +190,50 @@ static void BM_RaftFollowerAppend(benchmark::State& state)
 }
 BENCHMARK(BM_RaftFollowerAppend);
 
-static void BM_SpecFingerprint(benchmark::State& state)
+/// A mid-run state of the 3-node consensus model: a deterministic walk
+/// that takes, at each step, the successor with the longest encoding, so
+/// logs have grown past the bootstrap entries and messages (some carrying
+/// entries) are in flight. About the size of the states trace validation
+/// fingerprints.
+static specs::ccfraft::State mid_run_state()
 {
   specs::ccfraft::Params p;
   p.n_nodes = 3;
-  const auto s = specs::ccfraft::initial_state(p);
+  p.max_requests = 2;
+  const auto spec = specs::ccfraft::build_spec(p);
+  auto s = specs::ccfraft::initial_state(p);
+  const auto size_of = [](const specs::ccfraft::State& st) {
+    ByteSink sink;
+    st.serialize(sink);
+    return sink.bytes().size();
+  };
+  for (int step = 0; step < 12; ++step)
+  {
+    auto best = s;
+    size_t best_size = 0;
+    for (const auto& action : spec.actions)
+    {
+      action.expand(s, [&](const specs::ccfraft::State& next) {
+        const size_t n = size_of(next);
+        if (n > best_size)
+        {
+          best = next;
+          best_size = n;
+        }
+      });
+    }
+    s = best;
+  }
+  return s;
+}
+
+static void BM_SpecFingerprint(benchmark::State& state)
+{
+  const auto s = mid_run_state();
+  ByteSink sink;
+  s.serialize(sink);
+  state.counters["state_bytes"] = static_cast<double>(sink.bytes().size());
+  state.counters["messages"] = static_cast<double>(s.network.size());
   for (auto _ : state)
   {
     benchmark::DoNotOptimize(spec::fingerprint(s));
@@ -207,9 +246,7 @@ static void BM_SpecFingerprintFreshSink(benchmark::State& state)
   // Baseline for BM_SpecFingerprint: what fingerprinting costs when the
   // serialization buffer is constructed (and so reallocated) per call
   // instead of reused thread-locally. The delta is the scratch-reuse win.
-  specs::ccfraft::Params p;
-  p.n_nodes = 3;
-  const auto s = specs::ccfraft::initial_state(p);
+  const auto s = mid_run_state();
   for (auto _ : state)
   {
     ByteSink sink;
@@ -218,6 +255,23 @@ static void BM_SpecFingerprintFreshSink(benchmark::State& state)
   }
 }
 BENCHMARK(BM_SpecFingerprintFreshSink);
+
+static void BM_ByteSinkDigest(benchmark::State& state)
+{
+  // The fingerprint hash alone, over a buffer of the given size.
+  ByteSink sink;
+  for (int64_t i = 0; i < state.range(0); ++i)
+  {
+    sink.u8(static_cast<uint8_t>(i * 31 + 7));
+  }
+  for (auto _ : state)
+  {
+    benchmark::DoNotOptimize(sink.digest());
+  }
+  state.SetBytesProcessed(
+    static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_ByteSinkDigest)->Arg(64)->Arg(128)->Arg(1024);
 
 static void BM_SpecCanonicalFingerprint(benchmark::State& state)
 {

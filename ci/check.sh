@@ -147,8 +147,10 @@ echo "=== release smallbank serving soak (20k ticks, 1 GiB cap) ==="
 # UBSan over the driver-facing suites: crash-restart recovery and the
 # nemesis stress pointer/variant/overflow-heavy paths (ledger rebuilds,
 # message replay, schedule mutation), where UB would otherwise pass
-# silently on friendly compilers. Scoped to the driver/consensus tests —
-# the spec engines already run under TSan above.
+# silently on friendly compilers. The hashing and trace-validation suites
+# run here too: state serialization copies packed runs with memcpy, the
+# digest reads unaligned 8-byte words, and the one-worker DFS reuses its
+# frames across descents.
 echo "=== configure build-ubsan (-DSCV_SANITIZE=undefined) ==="
 # -Wno-stringop-overflow: GCC 12's stringop-overflow analysis false-
 # positives on vector<unsigned char>::push_back when UBSan
@@ -160,20 +162,23 @@ cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=Release -DSCV_WERROR=ON \
 echo "=== build build-ubsan (driver tests) ==="
 cmake --build build-ubsan -j "${JOBS}" --target \
   raft_node_test scenario_dsl_test scenario_test e2e_test bugs_test \
-  nemesis_test session_api_test snapshot_test
+  nemesis_test session_api_test snapshot_test util_test \
+  trace_validation_test validator_golden_test
 echo "=== test build-ubsan (driver tests) ==="
 for t in raft_node_test scenario_dsl_test scenario_test e2e_test \
-  bugs_test nemesis_test session_api_test snapshot_test; do
+  bugs_test nemesis_test session_api_test snapshot_test util_test \
+  trace_validation_test validator_golden_test; do
   echo "--- ${t} (ubsan) ---"
   "./build-ubsan/tests/${t}"
 done
 
-# ASan over the state-store suite: the store is the one module doing
-# manual lifetime work — slab blocks handed to mmap'd spill files, bodies
-# freed behind the frontier, record views into frozen arenas — where a
-# use-after-spill or off-by-one in the flat index would be silent heap
-# corruption under the normal builds. TSan (above, via ctest) covers the
-# races; this covers the memory.
+# ASan over the suites doing manual memory work: the state store (slab
+# blocks handed to mmap'd spill files, bodies freed behind the frontier,
+# record views into frozen arenas), ByteSink and the packed consensus
+# encoder (memcpy into a grown buffer), and the one-worker DFS (frames
+# reused across descents, the witness moved out of them). An off-by-one
+# there is silent heap corruption under the normal builds. TSan (above,
+# via ctest) covers the races; this covers the memory.
 echo "=== configure build-asan (-DSCV_SANITIZE=address) ==="
 # -Wno-maybe-uninitialized: like the UBSan variant's stringop-overflow
 # exception below, GCC 12's analysis false-positives inside std::variant
@@ -181,9 +186,13 @@ echo "=== configure build-asan (-DSCV_SANITIZE=address) ==="
 # keep the diagnostic armed.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Release -DSCV_WERROR=ON \
   -DSCV_SANITIZE=address -DCMAKE_CXX_FLAGS=-Wno-maybe-uninitialized
-echo "=== build build-asan (statestore_test) ==="
-cmake --build build-asan -j "${JOBS}" --target statestore_test
-echo "--- statestore_test (asan) ---"
-./build-asan/tests/statestore_test
+echo "=== build build-asan (memory-heavy suites) ==="
+cmake --build build-asan -j "${JOBS}" --target statestore_test util_test \
+  trace_validation_test validator_golden_test
+for t in statestore_test util_test trace_validation_test \
+  validator_golden_test; do
+  echo "--- ${t} (asan) ---"
+  "./build-asan/tests/${t}"
+done
 
 echo "=== ci/check.sh: all variants passed ==="

@@ -84,6 +84,7 @@ namespace scv::consensus
     sink.u64(entry.signature.size());
     sink.raw(entry.signature.data(), entry.signature.size());
     sink.u64(entry.signer);
-    return crypto::sha256(sink.bytes());
+    const auto bytes = sink.bytes();
+    return crypto::sha256(bytes.data(), bytes.size());
   }
 }

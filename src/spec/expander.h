@@ -179,36 +179,48 @@ namespace scv::spec
       }
       // Per-thread scratch: the closure runs per trace line in DFS
       // validation, so the set and layer vectors must not reallocate
-      // from scratch on every call.
+      // from scratch on every call. A layer is only stored when another
+      // layer will expand it, so a one-layer closure copies nothing.
       thread_local std::unordered_set<uint64_t> seen;
       thread_local std::vector<S> layer;
       thread_local std::vector<S> next_layer;
       seen.clear();
-      layer.clear();
+      next_layer.clear();
       seen.insert(fingerprint_of(state));
-      layer.push_back(state);
       for (size_t k = 0; k < max_fault_layers_; ++k)
       {
+        const bool expand_next = k + 1 < max_fault_layers_;
+        layer.swap(next_layer);
         next_layer.clear();
-        for (const S& s : layer)
-        {
-          fault_(s, [&](const S& f) {
-            if (!within_constraint(f))
-            {
-              return;
-            }
-            if (seen.insert(fingerprint_of(f)).second)
+        const Emit<S> on_fault = [&](const S& f) {
+          if (!within_constraint(f))
+          {
+            return;
+          }
+          if (seen.insert(fingerprint_of(f)).second)
+          {
+            if (expand_next)
             {
               next_layer.push_back(f);
-              emit(f);
             }
-          });
+            emit(f);
+          }
+        };
+        if (k == 0)
+        {
+          fault_(state, on_fault);
+        }
+        else
+        {
+          for (const S& s : layer)
+          {
+            fault_(s, on_fault);
+          }
         }
         if (next_layer.empty())
         {
           break;
         }
-        layer.swap(next_layer);
       }
       layer.clear();
       next_layer.clear();

@@ -30,10 +30,11 @@ namespace scv::spec
     { s.to_string() } -> std::convertible_to<std::string>;
   };
 
+  /// digest64() of the state's serialized bytes (util/hash.h).
   template <SpecState S>
   uint64_t fingerprint(const S& state)
   {
-    // Reused per thread: clear() keeps the vector's capacity, so
+    // Reused per thread: clear() keeps the buffer's capacity, so
     // steady-state fingerprinting allocates nothing. serialize() must not
     // fingerprint other states re-entrantly (none do — they only append
     // bytes).

@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "spec/spec.h"
@@ -45,11 +46,17 @@ namespace scv::spec
       state.serialize(sink);
     }
 
-    inline bool lex_less(
-      const std::vector<uint8_t>& a, const std::vector<uint8_t>& b)
+    using Bytes = std::span<const uint8_t>;
+
+    inline bool lex_less(Bytes a, Bytes b)
     {
       return std::lexicographical_compare(
         a.begin(), a.end(), b.begin(), b.end());
+    }
+
+    inline bool differs(Bytes a, Bytes b)
+    {
+      return !std::ranges::equal(a, b);
     }
 
     inline bool is_identity(const Perm& perm)
@@ -85,13 +92,13 @@ namespace scv::spec
       S* best_state)
     {
       // Scratch reused per thread: canonicalization runs on every
-      // generated state, so candidate serialization must not allocate in
-      // steady state.
+      // generated state, so serialization must not allocate in steady
+      // state. The input keeps its own sink, so candidates never copy it.
+      thread_local ByteSink input_sink;
       thread_local ByteSink scratch;
-      thread_local std::vector<uint8_t> input;
 
-      serialize_into(state, scratch);
-      input = scratch.bytes();
+      serialize_into(state, input_sink);
+      const Bytes input = input_sink.bytes();
       best.clear();
       bool have = false;
 
@@ -101,7 +108,7 @@ namespace scv::spec
           // The identity's candidate is the input itself — no apply.
           if (!have || lex_less(input, best))
           {
-            best = input;
+            best.assign(input.begin(), input.end());
             if (best_state != nullptr)
             {
               *best_state = state;
@@ -112,9 +119,10 @@ namespace scv::spec
         }
         const S candidate = sym.apply(state, perm);
         serialize_into(candidate, scratch);
-        if (!have || lex_less(scratch.bytes(), best))
+        const Bytes bytes = scratch.bytes();
+        if (!have || lex_less(bytes, best))
         {
-          best = scratch.bytes();
+          best.assign(bytes.begin(), bytes.end());
           have = true;
           if (best_state != nullptr)
           {
@@ -131,13 +139,13 @@ namespace scv::spec
         {
           consider(perm);
         }
-        return best != input;
+        return differs(best, input);
       }
 
       const size_t k = sym.domain ? sym.domain(state) : 0;
       if (k <= 1)
       {
-        best = input;
+        best.assign(input.begin(), input.end());
         return false;
       }
       SCV_CHECK(k <= 16); // enumeration fallback is factorial in ties
@@ -173,7 +181,7 @@ namespace scv::spec
           perm[order[p]] = static_cast<uint8_t>(p);
         }
         consider(perm);
-        return best != input;
+        return differs(best, input);
       }
 
       // Tie blocks: enumerate permutations of identities *within* each
@@ -222,7 +230,7 @@ namespace scv::spec
           break;
         }
       }
-      return best != input;
+      return differs(best, input);
     }
   }
 
@@ -259,13 +267,15 @@ namespace scv::spec
       }
       return fingerprint(state);
     }
-    std::vector<uint8_t> bytes;
+    // Per-thread, like the scratch inside canonical_bytes: this runs once
+    // per generated state under symmetry.
+    thread_local std::vector<uint8_t> bytes;
     const bool c =
       symmetry_detail::canonical_bytes<S>(sym, state, bytes, nullptr);
     if (changed != nullptr)
     {
       *changed = c;
     }
-    return fnv1a(bytes.data(), bytes.size());
+    return digest64(bytes.data(), bytes.size());
   }
 }

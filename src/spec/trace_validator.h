@@ -40,6 +40,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -529,14 +530,24 @@ namespace scv::spec
       deepest_line_ = 0;
       deepest_frontier_.clear();
 
+      // Frames are reused across descents and initial states, so their
+      // successor vectors keep their capacity.
+      std::vector<Frame> frames;
       for (const S& init : init_)
       {
-        std::vector<S> path;
-        if (dfs_from(init, path))
+        if (const auto depth = dfs_from(init, frames))
         {
           result_.ok = true;
           result_.lines_matched = lines_.size();
-          result_.witness = std::move(path);
+          // The witness is the initial state plus the successor each
+          // frame on the matched path took.
+          result_.witness.reserve(*depth + 1);
+          result_.witness.push_back(init);
+          for (size_t i = 0; i < *depth; ++i)
+          {
+            result_.witness.push_back(
+              std::move(frames[i].successors[frames[i].next - 1]));
+          }
           return;
         }
         if (budget_.exhausted(result_.states_explored))
@@ -553,55 +564,58 @@ namespace scv::spec
       }
     }
 
-    /// Iterative depth-first search from one initial state. path mirrors
-    /// the frame stack (path[i] is the state entered at line i), so on a
-    /// match it is exactly the witness behavior.
-    bool dfs_from(const S& init, std::vector<S>& path)
+    /// Iterative depth-first search from one initial state on the frame
+    /// stack frames[0, depth): frames[i] expanded the state entered at
+    /// line i, and its last taken successor (successors[next - 1]) is the
+    /// state entered at line i + 1. Returns the stack depth at which the
+    /// whole trace matched — the witness is then init followed by each
+    /// frame's last taken successor — or nullopt.
+    std::optional<size_t> dfs_from(const S& init, std::vector<Frame>& frames)
     {
-      path = {init};
-      std::vector<Frame> stack;
+      if (frames.empty())
       {
-        Frame root;
-        switch (enter(init, 0, root))
-        {
-          case Enter::Matched:
-            return true;
-          case Enter::Fail:
-            return false;
-          case Enter::Entered:
-            stack.push_back(std::move(root));
-            break;
-        }
+        frames.emplace_back();
       }
-      while (!stack.empty())
+      switch (enter(init, 0, frames[0]))
       {
-        Frame& top = stack.back();
+        case Enter::Matched:
+          return 0;
+        case Enter::Fail:
+          return std::nullopt;
+        case Enter::Entered:
+          break;
+      }
+      size_t depth = 1;
+      while (depth > 0)
+      {
+        if (depth == frames.size())
+        {
+          // Grow before taking references into the stack.
+          frames.emplace_back();
+        }
+        Frame& top = frames[depth - 1];
         if (top.next == top.successors.size())
         {
           // Post-order: every successor failed. Memoize the dead end and
-          // backtrack.
+          // backtrack; the frame keeps its capacity but not its states.
           dead_.insert(key(top.line, top.fp));
-          stack.pop_back();
-          path.pop_back();
+          top.successors.clear();
+          --depth;
           continue;
         }
         const S& succ = top.successors[top.next++];
-        path.push_back(succ);
-        Frame child;
-        switch (enter(succ, top.line + 1, child))
+        switch (enter(succ, top.line + 1, frames[depth]))
         {
           case Enter::Matched:
-            return true;
+            return depth;
           case Enter::Fail:
-            path.pop_back();
             break;
           case Enter::Entered:
-            // Invalidates `top` and `succ`; neither is used again.
-            stack.push_back(std::move(child));
+            ++depth;
             break;
         }
       }
-      return false;
+      return std::nullopt;
     }
 
     /// The per-node prologue of the search: match/budget/dead checks,
@@ -641,6 +655,8 @@ namespace scv::spec
       cover(state, line);
       out.line = line;
       out.fp = fp;
+      out.successors.clear();
+      out.next = 0;
       expander_.with_faults(state, [&](const S& pre) {
         lines_[line].expand(pre, [&](const S& succ) {
           result_.states_explored++;

@@ -17,8 +17,11 @@
 
 #include <array>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/check.h"
@@ -83,15 +86,25 @@ namespace scv::specs::ccfraft
     Bits config = 0;
 
     auto operator<=>(const SpecEntry&) const = default;
-
-    void serialize(ByteSink& sink) const
-    {
-      sink.u8(term);
-      sink.u8(static_cast<uint8_t>(type));
-      sink.u8(payload);
-      sink.u8(config);
-    }
   };
+
+  static_assert(
+    sizeof(SpecEntry) == 4 && std::is_trivially_copyable_v<SpecEntry> &&
+    std::is_standard_layout_v<SpecEntry> && offsetof(SpecEntry, term) == 0 &&
+    offsetof(SpecEntry, type) == 1 && offsetof(SpecEntry, payload) == 2 &&
+    offsetof(SpecEntry, config) == 3 && sizeof(EType) == 1 &&
+    sizeof(Bits) == 1);
+
+  /// Serializes a run of entries with one raw() call. An entry encodes as
+  /// its four one-byte fields in declaration order, which is exactly its
+  /// object representation (asserted above).
+  inline void serialize_entries(
+    ByteSink& sink, const std::vector<SpecEntry>& entries)
+  {
+    sink.raw(
+      reinterpret_cast<const uint8_t*>(entries.data()),
+      sizeof(SpecEntry) * entries.size());
+  }
 
   enum class MType : uint8_t
   {
@@ -130,22 +143,23 @@ namespace scv::specs::ccfraft
 
     void serialize(ByteSink& sink) const
     {
-      sink.u8(static_cast<uint8_t>(type));
-      sink.u8(from);
-      sink.u8(to);
-      sink.u8(term);
-      sink.u8(prev_idx);
-      sink.u8(prev_term);
-      sink.u8(commit);
-      sink.u8(static_cast<uint8_t>(entries.size()));
-      for (const auto& e : entries)
-      {
-        e.serialize(sink);
-      }
-      sink.boolean(success);
-      sink.u8(last_idx);
-      sink.u8(last_log_idx);
-      sink.u8(last_log_term);
+      const uint8_t head[] = {
+        static_cast<uint8_t>(type),
+        from,
+        to,
+        term,
+        prev_idx,
+        prev_term,
+        commit,
+        static_cast<uint8_t>(entries.size())};
+      sink.raw(head, sizeof(head));
+      serialize_entries(sink, entries);
+      const uint8_t tail[] = {
+        static_cast<uint8_t>(success ? 1 : 0),
+        last_idx,
+        last_log_idx,
+        last_log_term};
+      sink.raw(tail, sizeof(tail));
     }
 
     [[nodiscard]] std::string to_string() const;
@@ -190,27 +204,21 @@ namespace scv::specs::ccfraft
 
     void serialize(ByteSink& sink) const
     {
-      sink.u8(static_cast<uint8_t>(role));
-      sink.u8(current_term);
-      sink.u8(voted_for);
-      sink.u8(votes_granted);
-      sink.u8(static_cast<uint8_t>(log.size()));
-      for (const auto& e : log)
-      {
-        e.serialize(sink);
-      }
-      sink.u8(commit_index);
-      sink.u8(snap_idx);
-      sink.u8(snap_term);
-      for (const uint8_t v : sent_index)
-      {
-        sink.u8(v);
-      }
-      for (const uint8_t v : match_index)
-      {
-        sink.u8(v);
-      }
-      sink.u8(static_cast<uint8_t>(membership));
+      const uint8_t head[] = {
+        static_cast<uint8_t>(role),
+        current_term,
+        voted_for,
+        votes_granted,
+        static_cast<uint8_t>(log.size())};
+      sink.raw(head, sizeof(head));
+      serialize_entries(sink, log);
+      static_assert(
+        sizeof(sent_index) == kMaxNodes && sizeof(match_index) == kMaxNodes);
+      uint8_t tail[3 + 2 * kMaxNodes + 1] = {commit_index, snap_idx, snap_term};
+      std::memcpy(tail + 3, sent_index.data(), kMaxNodes);
+      std::memcpy(tail + 3 + kMaxNodes, match_index.data(), kMaxNodes);
+      tail[3 + 2 * kMaxNodes] = static_cast<uint8_t>(membership);
+      sink.raw(tail, sizeof(tail));
     }
 
     // --- log helpers (1-based indices, 0 = none) -------------------------

@@ -150,6 +150,8 @@ namespace scv::specs::ccfraft
     // Per-node sent/match values as sorted multisets (positions are node
     // labels; the value distribution is not). The clamp keeps the
     // indexing provably in-bounds (n_nodes <= kMaxNodes on all states).
+    // All kMaxNodes slots are sorted: the slots past n hold 0, no greater
+    // than any value, so the node values end up as the last n, in order.
     const size_t n = std::min<size_t>(s.n_nodes, kMaxNodes);
     std::array<uint8_t, kMaxNodes> sent{};
     std::array<uint8_t, kMaxNodes> match{};
@@ -158,9 +160,9 @@ namespace scv::specs::ccfraft
       sent[j] = node.sent_index[j];
       match[j] = node.match_index[j];
     }
-    std::sort(sent.begin(), sent.begin() + n);
-    std::sort(match.begin(), match.begin() + n);
-    for (size_t j = 0; j < n; ++j)
+    std::sort(sent.begin(), sent.end());
+    std::sort(match.begin(), match.end());
+    for (size_t j = kMaxNodes - n; j < kMaxNodes; ++j)
     {
       mix(sent[j]);
       mix(match[j]);

@@ -13,6 +13,8 @@
 //    offending transition is disabled.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "spec/model_checker.h"
 #include "spec/simulator.h"
 #include "specs/consensus/spec.h"
@@ -676,6 +678,164 @@ TEST(ConsensusSpecBug3, FixedModelHasNoViolation)
   const auto result = model_check(spec, limits);
   EXPECT_TRUE(result.ok)
     << (result.counterexample ? result.counterexample->to_string() : "");
+}
+
+// ---------------------------------------------------------------------------
+// Serialization byte identity. State::serialize writes packed runs of
+// bytes with one ByteSink::raw() call each; the oracle below is the
+// field-by-field encoder it replaced. Fingerprints, symmetry's canonical
+// order and every pinned state hash depend on these bytes, so they must
+// match on every reachable state.
+// ---------------------------------------------------------------------------
+
+namespace
+{
+  void oracle_entry(const SpecEntry& e, ByteSink& sink)
+  {
+    sink.u8(e.term);
+    sink.u8(static_cast<uint8_t>(e.type));
+    sink.u8(e.payload);
+    sink.u8(e.config);
+  }
+
+  void oracle_message(const SpecMessage& m, ByteSink& sink)
+  {
+    sink.u8(static_cast<uint8_t>(m.type));
+    sink.u8(m.from);
+    sink.u8(m.to);
+    sink.u8(m.term);
+    sink.u8(m.prev_idx);
+    sink.u8(m.prev_term);
+    sink.u8(m.commit);
+    sink.u8(static_cast<uint8_t>(m.entries.size()));
+    for (const auto& e : m.entries)
+    {
+      oracle_entry(e, sink);
+    }
+    sink.boolean(m.success);
+    sink.u8(m.last_idx);
+    sink.u8(m.last_log_idx);
+    sink.u8(m.last_log_term);
+  }
+
+  void oracle_node(const SpecNode& n, ByteSink& sink)
+  {
+    sink.u8(static_cast<uint8_t>(n.role));
+    sink.u8(n.current_term);
+    sink.u8(n.voted_for);
+    sink.u8(n.votes_granted);
+    sink.u8(static_cast<uint8_t>(n.log.size()));
+    for (const auto& e : n.log)
+    {
+      oracle_entry(e, sink);
+    }
+    sink.u8(n.commit_index);
+    sink.u8(n.snap_idx);
+    sink.u8(n.snap_term);
+    for (const uint8_t v : n.sent_index)
+    {
+      sink.u8(v);
+    }
+    for (const uint8_t v : n.match_index)
+    {
+      sink.u8(v);
+    }
+    sink.u8(static_cast<uint8_t>(n.membership));
+  }
+
+  std::vector<uint8_t> oracle_bytes(const State& s)
+  {
+    ByteSink sink;
+    sink.u8(s.n_nodes);
+    for (uint8_t i = 0; i < s.n_nodes; ++i)
+    {
+      oracle_node(s.nodes[i], sink);
+    }
+    sink.u8(static_cast<uint8_t>(s.network.size()));
+    for (const auto& [msg, count] : s.network)
+    {
+      oracle_message(msg, sink);
+      sink.u8(count);
+    }
+    sink.u8(s.next_request);
+    return {sink.bytes().begin(), sink.bytes().end()};
+  }
+
+  std::vector<uint8_t> packed_bytes(const State& s)
+  {
+    ByteSink sink;
+    s.serialize(sink);
+    return {sink.bytes().begin(), sink.bytes().end()};
+  }
+
+  /// Every state reachable under the constraint, deduplicated by its
+  /// oracle bytes (no fingerprint involved).
+  std::vector<State> all_reachable(const SpecDef<State>& spec)
+  {
+    std::set<std::vector<uint8_t>> seen;
+    std::vector<State> states;
+    for (const State& init : spec.init)
+    {
+      if (seen.insert(oracle_bytes(init)).second)
+      {
+        states.push_back(init);
+      }
+    }
+    for (size_t i = 0; i < states.size(); ++i)
+    {
+      if (!spec.within_constraint(states[i]))
+      {
+        continue;
+      }
+      const State s = states[i];
+      for (const auto& action : spec.actions)
+      {
+        action.expand(s, [&](const State& next) {
+          if (seen.insert(oracle_bytes(next)).second)
+          {
+            states.push_back(next);
+          }
+        });
+      }
+    }
+    return states;
+  }
+}
+
+TEST(ConsensusSerialize, PackedEncoderMatchesFieldByFieldOnNackBugModel)
+{
+  Params p = nack_bug_model();
+  p.bugs.nack_overwrites_match_index = true;
+  const auto states = all_reachable(build_spec(p));
+  ASSERT_GT(states.size(), 1534u); // more than the checker reaches
+  size_t with_entries = 0;
+  for (const State& s : states)
+  {
+    ASSERT_EQ(packed_bytes(s), oracle_bytes(s)) << s.to_string();
+    for (const auto& [msg, count] : s.network)
+    {
+      with_entries += msg.entries.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(with_entries, 0u);
+}
+
+TEST(ConsensusSerialize, PackedEncoderMatchesFieldByFieldOnSymmetricInits)
+{
+  Params p;
+  p.n_nodes = 3;
+  p.max_term = 2;
+  p.max_requests = 1;
+  p.max_log_len = 3;
+  p.max_batch = 1;
+  p.max_network = 1;
+  p.max_copies = 1;
+  const auto inits = all_initial_states(p);
+  ASSERT_GT(inits.size(), 1u);
+  for (const State& s : inits)
+  {
+    EXPECT_EQ(packed_bytes(s), oracle_bytes(s)) << s.to_string();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -182,6 +182,33 @@ TEST(SymmetryCanonical, ConsensusInvariantUnderRandomPermutations)
   }
 }
 
+// canonical_fingerprint hashes through the same digest as fingerprint:
+// with symmetry off it is fingerprint itself, and with symmetry on it is
+// the fingerprint of the canonical representative (the state itself when
+// no relabeling applies).
+TEST(SymmetryCanonical, CanonicalFingerprintIsTheStateFingerprint)
+{
+  const auto spec = specs::ccfraft::build_spec(small_consensus_model());
+  const auto states = reachable_states(spec, 300);
+  const Symmetry<specs::ccfraft::State> off;
+  ASSERT_FALSE(off.enabled());
+  size_t relabeled = 0;
+  for (const auto& s : states)
+  {
+    EXPECT_EQ(canonical_fingerprint(off, s), fingerprint(s));
+    bool changed = true;
+    const uint64_t canon = canonical_fingerprint(spec.symmetry, s, &changed);
+    EXPECT_EQ(canon, fingerprint(canonicalize(spec.symmetry, s)));
+    if (!changed)
+    {
+      EXPECT_EQ(canon, fingerprint(s));
+    }
+    relabeled += changed ? 1 : 0;
+  }
+  EXPECT_GT(relabeled, 0u);
+  EXPECT_LT(relabeled, states.size());
+}
+
 TEST(SymmetryCanonical, ConsensusSignatureIsCovariant)
 {
   const auto spec = specs::ccfraft::build_spec(small_consensus_model());

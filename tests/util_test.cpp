@@ -117,6 +117,59 @@ TEST(Hash, Fnv1aKnownValue)
   EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
 }
 
+TEST(Hash, Digest64PublishedVectors)
+{
+  // Published XXH64 (seed 0) values.
+  const auto d = [](std::string_view s) {
+    return digest64(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+  };
+  EXPECT_EQ(d(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(d("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(d("abc"), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(
+    d("The quick brown fox jumps over the lazy dog"), 0x0b242d361fda71bcULL);
+}
+
+TEST(Hash, Digest64EveryTailPath)
+{
+  // 0: empty; 1: one 1-byte tail; 7: a 4-byte and three 1-byte tails; 8:
+  // one 8-byte tail; 31: three 8-byte, one 4-byte and three 1-byte tails;
+  // 32: one stripe; 33: a stripe and a 1-byte tail.
+  uint8_t buf[33];
+  for (size_t i = 0; i < sizeof(buf); ++i)
+  {
+    buf[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  const std::pair<size_t, uint64_t> vectors[] = {
+    {0, 0xef46db3751d8e999ULL},
+    {1, 0x8a4127811b21e730ULL},
+    {7, 0x34084d91a233a751ULL},
+    {8, 0xc6f1803a5e0b3222ULL},
+    {31, 0x6ab1c40e29f50073ULL},
+    {32, 0x5a0756fbe9ecd3d1ULL},
+    {33, 0xdc50cdc37bb9c183ULL},
+  };
+  for (const auto& [size, want] : vectors)
+  {
+    EXPECT_EQ(digest64(buf, size), want) << size << " bytes";
+    ByteSink sink;
+    sink.raw(buf, size);
+    EXPECT_EQ(sink.digest(), want) << size << " bytes";
+  }
+}
+
+TEST(Hash, ByteSinkIntegersAreLittleEndian)
+{
+  ByteSink sink;
+  sink.u16(0x0201);
+  sink.u32(0x06050403);
+  sink.u64(0x0e0d0c0b0a090807ULL);
+  sink.str("x");
+  const std::vector<uint8_t> want = {
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 1, 0, 0, 0, 0, 0, 0, 0, 'x'};
+  EXPECT_EQ(std::vector<uint8_t>(sink.bytes().begin(), sink.bytes().end()), want);
+}
+
 TEST(Hash, ByteSinkCanonical)
 {
   ByteSink a;

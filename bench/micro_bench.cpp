@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <unordered_set>
+#include <vector>
 
 #include "consensus/raft_node.h"
 #include "crypto/merkle_tree.h"
@@ -13,6 +15,7 @@
 #include "kv/store.h"
 #include "net/sim_network.h"
 #include "spec/expander.h"
+#include "spec/sharded_state_store.h"
 #include "spec/spec.h"
 #include "spec/symmetry.h"
 #include "specs/consensus/spec.h"
@@ -213,11 +216,11 @@ static specs::ccfraft::State mid_run_state()
     size_t best_size = 0;
     for (const auto& action : spec.actions)
     {
-      action.expand(s, [&](const specs::ccfraft::State& next) {
+      action.expand(s, [&](specs::ccfraft::State&& next) {
         const size_t n = size_of(next);
         if (n > best_size)
         {
-          best = next;
+          best = std::move(next);
           best_size = n;
         }
       });
@@ -307,7 +310,7 @@ static void BM_ExpanderFaultClosure(benchmark::State& state)
       {
         auto dropped = s;
         dropped.network.erase(dropped.network.begin() + i);
-        emit(dropped);
+        emit(std::move(dropped));
       }
     },
     2);
@@ -335,6 +338,89 @@ static void BM_ExpanderFaultClosure(benchmark::State& state)
   }
 }
 BENCHMARK(BM_ExpanderFaultClosure);
+
+/// The first `count` states a BFS of the Table-1 model reaches, each once.
+static std::vector<specs::ccfraft::State> table1_states(size_t count)
+{
+  specs::ccfraft::Params p;
+  p.n_nodes = 2;
+  p.max_term = 2;
+  p.max_requests = 1;
+  p.max_log_len = 4;
+  p.max_batch = 2;
+  p.max_network = 2;
+  p.max_copies = 1;
+  const auto spec = specs::ccfraft::build_spec(p);
+  std::vector<specs::ccfraft::State> states = spec.init;
+  std::unordered_set<uint64_t> seen = {spec::fingerprint(states[0])};
+  for (size_t i = 0; i < states.size() && states.size() < count; ++i)
+  {
+    const auto s = states[i];
+    for (const auto& action : spec.actions)
+    {
+      action.expand(s, [&](specs::ccfraft::State&& next) {
+        if (
+          states.size() < count &&
+          seen.insert(spec::fingerprint(next)).second)
+        {
+          states.push_back(std::move(next));
+        }
+      });
+    }
+  }
+  return states;
+}
+
+static void BM_StoreInsert(benchmark::State& state)
+{
+  // The "store insert" layer of the checker: one full-mode insert of a
+  // Table-1 state, fingerprint precomputed. Arg 0 admits fresh states,
+  // moved into the worker's body arena as the checker moves successors;
+  // arg 1 re-inserts states already stored, so every call confirms the
+  // fingerprint hit with operator== and leaves the state where it is.
+  using Store = spec::ShardedStateStore<specs::ccfraft::State>;
+  const bool duplicate = state.range(0) == 1;
+  const auto states = table1_states(4096);
+  std::vector<uint64_t> fps;
+  for (const auto& s : states)
+  {
+    fps.push_back(spec::fingerprint(s));
+  }
+  Store store(1);
+  std::vector<specs::ccfraft::State> batch;
+  const auto refill = [&] {
+    store.clear();
+    if (duplicate)
+    {
+      for (size_t i = 0; i < states.size(); ++i)
+      {
+        (void)store.insert(
+          states[i], fps[i], Store::no_parent, Store::init_action, 0);
+      }
+    }
+    batch = states;
+  };
+  refill();
+  size_t i = 0;
+  for (auto _ : state)
+  {
+    if (i == batch.size())
+    {
+      state.PauseTiming();
+      if (!duplicate)
+      {
+        refill();
+      }
+      i = 0;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(store.insert(
+      std::move(batch[i]), fps[i], Store::no_parent, Store::init_action, 1));
+    ++i;
+  }
+  state.counters["sizeof_state"] = static_cast<double>(sizeof(states[0]));
+}
+BENCHMARK(BM_StoreInsert)->Arg(0)->Arg(1);
 
 static void BM_SpecExpandAll(benchmark::State& state)
 {

@@ -74,13 +74,13 @@ namespace
       {"shift0", [n](const BigState& s, const Emit<BigState>& emit) {
          BigState next = s;
          next.value = (s.value * 2) % n;
-         emit(next);
+         emit(std::move(next));
        }});
     spec.actions.push_back(
       {"shift1", [n](const BigState& s, const Emit<BigState>& emit) {
          BigState next = s;
          next.value = (s.value * 2 + 1) % n;
-         emit(next);
+         emit(std::move(next));
        }});
     return spec;
   }
@@ -100,7 +100,7 @@ namespace
          {
            BigState next = s;
            next.value = s.value + 1;
-           emit(next);
+           emit(std::move(next));
          }
        }});
     return spec;

@@ -150,7 +150,9 @@ echo "=== release smallbank serving soak (20k ticks, 1 GiB cap) ==="
 # silently on friendly compilers. The hashing and trace-validation suites
 # run here too: state serialization copies packed runs with memcpy, the
 # digest reads unaligned 8-byte words, and the one-worker DFS reuses its
-# frames across descents.
+# frames across descents. So do the checker suites: successors are moved
+# through the engines, and the store's body arena constructs and destroys
+# bodies by hand.
 echo "=== configure build-ubsan (-DSCV_SANITIZE=undefined) ==="
 # -Wno-stringop-overflow: GCC 12's stringop-overflow analysis false-
 # positives on vector<unsigned char>::push_back when UBSan
@@ -163,22 +165,26 @@ echo "=== build build-ubsan (driver tests) ==="
 cmake --build build-ubsan -j "${JOBS}" --target \
   raft_node_test scenario_dsl_test scenario_test e2e_test bugs_test \
   nemesis_test session_api_test snapshot_test util_test \
-  trace_validation_test validator_golden_test
+  trace_validation_test validator_golden_test checker_golden_test \
+  consensus_spec_test spec_framework_test alloc_budget_test
 echo "=== test build-ubsan (driver tests) ==="
 for t in raft_node_test scenario_dsl_test scenario_test e2e_test \
   bugs_test nemesis_test session_api_test snapshot_test util_test \
-  trace_validation_test validator_golden_test; do
+  trace_validation_test validator_golden_test checker_golden_test \
+  consensus_spec_test spec_framework_test alloc_budget_test; do
   echo "--- ${t} (ubsan) ---"
   "./build-ubsan/tests/${t}"
 done
 
 # ASan over the suites doing manual memory work: the state store (slab
 # blocks handed to mmap'd spill files, bodies freed behind the frontier,
-# record views into frozen arenas), ByteSink and the packed consensus
-# encoder (memcpy into a grown buffer), and the one-worker DFS (frames
-# reused across descents, the witness moved out of them). An off-by-one
-# there is silent heap corruption under the normal builds. TSan (above,
-# via ctest) covers the races; this covers the memory.
+# record views into frozen arenas, bodies constructed and destroyed by
+# hand in raw arena chunks), ByteSink and the packed consensus encoder
+# (memcpy into a grown buffer), the one-worker DFS (frames reused across
+# descents, the witness moved out of them), and the checker suites, where
+# moved-from successors flow through the engines. An off-by-one there is
+# silent heap corruption under the normal builds. TSan (above, via ctest)
+# covers the races; this covers the memory.
 echo "=== configure build-asan (-DSCV_SANITIZE=address) ==="
 # -Wno-maybe-uninitialized: like the UBSan variant's stringop-overflow
 # exception below, GCC 12's analysis false-positives inside std::variant
@@ -188,9 +194,11 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Release -DSCV_WERROR=ON \
   -DSCV_SANITIZE=address -DCMAKE_CXX_FLAGS=-Wno-maybe-uninitialized
 echo "=== build build-asan (memory-heavy suites) ==="
 cmake --build build-asan -j "${JOBS}" --target statestore_test util_test \
-  trace_validation_test validator_golden_test
+  trace_validation_test validator_golden_test checker_golden_test \
+  consensus_spec_test spec_framework_test alloc_budget_test
 for t in statestore_test util_test trace_validation_test \
-  validator_golden_test; do
+  validator_golden_test checker_golden_test consensus_spec_test \
+  spec_framework_test alloc_budget_test; do
   echo "--- ${t} (asan) ---"
   "./build-asan/tests/${t}"
 done

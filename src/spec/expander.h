@@ -16,8 +16,11 @@
 
 #include <array>
 #include <atomic>
+#include <concepts>
 #include <functional>
+#include <type_traits>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "spec/sharded_state_store.h"
@@ -106,37 +109,39 @@ namespace scv::spec
 
     /// Fingerprint-first insert into a store: dedup and predecessor
     /// bookkeeping in one call. `worker` is the caller's worker index
-    /// (the store's body arena and the symmetry counter slot).
+    /// (the store's body arena and the symmetry counter slot). An rvalue
+    /// `state` is moved into the store only if it is admitted; a
+    /// duplicate leaves it as it was.
+    template <class T>
+      requires std::same_as<std::remove_cvref_t<T>, S>
     [[nodiscard]] typename ShardedStateStore<S>::InsertResult admit(
       ShardedStateStore<S>& store,
-      const S& state,
+      T&& state,
       typename ShardedStateStore<S>::Id parent,
       uint32_t action,
       uint32_t depth,
       unsigned worker = 0) const
     {
+      const uint64_t fp = fingerprint_of(state, worker);
       return store.insert(
-        state,
-        fingerprint_of(state, worker),
-        parent,
-        action,
-        depth,
-        origin_,
-        worker);
+        std::forward<T>(state), fp, parent, action, depth, origin_, worker);
     }
 
     /// Same, but keyed by a caller-salted fingerprint (the trace validator
     /// scopes dedup per line by salting with the line number).
+    template <class T>
+      requires std::same_as<std::remove_cvref_t<T>, S>
     [[nodiscard]] typename ShardedStateStore<S>::InsertResult admit_keyed(
       ShardedStateStore<S>& store,
-      const S& state,
+      T&& state,
       uint64_t key,
       typename ShardedStateStore<S>::Id parent,
       uint32_t action,
       uint32_t depth,
       unsigned worker = 0) const
     {
-      return store.insert(state, key, parent, action, depth, origin_, worker);
+      return store.insert(
+        std::forward<T>(state), key, parent, action, depth, origin_, worker);
     }
 
     /// Fault expander (e.g. "drop any one in-flight message"), composed
@@ -154,25 +159,29 @@ namespace scv::spec
       return static_cast<bool>(fault_) && max_fault_layers_ > 0;
     }
 
-    /// Emits `state` and every *distinct* state reachable from it by up to
-    /// max_layers applications of the fault expander (deduplicated by
-    /// fingerprint across the whole closure, including `state` itself).
+    /// Calls on_state(const S&) on `state` and on every *distinct* state
+    /// reachable from it by up to max_layers applications of the fault
+    /// expander (deduplicated by fingerprint across the whole closure,
+    /// including `state` itself). The states are lent, not handed over:
+    /// on_state reads each one before the closure moves on.
     ///
-    /// The base state is emitted unconditionally — callers gate it
+    /// The base state is passed unconditionally — callers gate it
     /// themselves before asking for the closure (the trace validator's
     /// searches must consider the un-faulted state even where an engine
     /// would prune it). Fault-generated states, by contrast, honor the
     /// bound spec's state constraint: a closure step that leaves the
-    /// constraint is neither emitted nor expanded further, exactly as the
-    /// engines never expand out-of-constraint states. An unbound Expander
-    /// (trace validation) has no constraint, so nothing is gated there.
+    /// constraint is neither passed on nor expanded further, exactly as
+    /// the engines never expand out-of-constraint states. An unbound
+    /// Expander (trace validation) has no constraint, so nothing is gated
+    /// there.
     ///
-    /// Not reentrant: the emit callback must not call with_faults() on
-    /// the same thread (the per-thread scratch below is reused across
-    /// calls; no caller nests closures).
-    void with_faults(const S& state, const Emit<S>& emit) const
+    /// Not reentrant: on_state must not call with_faults() on the same
+    /// thread (the per-thread scratch below is reused across calls; no
+    /// caller nests closures).
+    template <class F>
+    void with_faults(const S& state, F&& on_state) const
     {
-      emit(state);
+      on_state(state);
       if (!has_fault())
       {
         return;
@@ -180,7 +189,7 @@ namespace scv::spec
       // Per-thread scratch: the closure runs per trace line in DFS
       // validation, so the set and layer vectors must not reallocate
       // from scratch on every call. A layer is only stored when another
-      // layer will expand it, so a one-layer closure copies nothing.
+      // layer will expand it, so a one-layer closure stores nothing.
       thread_local std::unordered_set<uint64_t> seen;
       thread_local std::vector<S> layer;
       thread_local std::vector<S> next_layer;
@@ -192,18 +201,18 @@ namespace scv::spec
         const bool expand_next = k + 1 < max_fault_layers_;
         layer.swap(next_layer);
         next_layer.clear();
-        const Emit<S> on_fault = [&](const S& f) {
+        const Emit<S> on_fault = [&](S&& f) {
           if (!within_constraint(f))
           {
             return;
           }
           if (seen.insert(fingerprint_of(f)).second)
           {
+            on_state(std::as_const(f));
             if (expand_next)
             {
-              next_layer.push_back(f);
+              next_layer.push_back(std::move(f));
             }
-            emit(f);
           }
         };
         if (k == 0)

@@ -445,7 +445,7 @@ namespace scv::spec
         bool violated = false;
         for (size_t a = 0; a < spec_.actions.size() && !violated; ++a)
         {
-          spec_.actions[a].expand(state, [&](const S& next) {
+          spec_.actions[a].expand(state, [&](S&& next) {
             if (violated || stop.load(std::memory_order_relaxed))
             {
               return;
@@ -459,14 +459,17 @@ namespace scv::spec
               {
                 report_violation(
                   stop,
-                  {prop.name, item.id, static_cast<uint32_t>(a), next});
+                  {prop.name,
+                   item.id,
+                   static_cast<uint32_t>(a),
+                   std::move(next)});
                 violated = true;
                 return;
               }
             }
             const auto ins = expander_.admit(
               store(),
-              next,
+              std::move(next),
               item.id,
               static_cast<uint32_t>(a),
               item.depth + 1,
@@ -477,7 +480,7 @@ namespace scv::spec
               return;
             }
             local.inserted++;
-            if (!invariants_hold(next, ins.id, stop))
+            if (!invariants_hold(*ins.body, ins.id, stop))
             {
               violated = true;
               return;

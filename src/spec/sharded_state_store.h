@@ -16,10 +16,11 @@
 //     record() references stay valid across inserts.
 //   * Bodies: StoreMode::full keeps every S for the store's lifetime
 //     (dedup falls back to operator== on fingerprint collision), in
-//     per-worker arenas: insert() appends the body to a deque owned by
-//     the admitting worker, and the record keeps a pointer to it in a
-//     slab beside its hot record. One thread allocates — and, through
-//     release_arena(), frees — each worker's bodies.
+//     per-worker arenas: insert() constructs the body in the admitting
+//     worker's current chunk of raw storage (1024 bodies per chunk, so
+//     one allocation per 1024 states), and the record keeps a pointer to
+//     it in a slab beside its hot record. One thread allocates — and,
+//     through release_arena(), frees — each worker's bodies.
 //     StoreMode::fingerprint_only keeps bodies only for the frontier, in
 //     a per-shard node map: engines call drop_body() once a state has
 //     been expanded, dedup is by fingerprint alone, and paths are rebuilt
@@ -59,11 +60,11 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -286,7 +287,7 @@ namespace scv::spec
     /// or cleared right after.
     void release_arena(size_t worker)
     {
-      std::deque<S>().swap(arenas_[worker]->bodies);
+      arenas_[worker]->release();
     }
 
     /// Inserts the state unless an equal state is already present.
@@ -296,8 +297,12 @@ namespace scv::spec
     /// TLC trade; see StoreMode). `origin` tags the discovering engine
     /// (first inserter wins the tag). `worker` picks the body arena (see
     /// reserve_arenas()); concurrent callers must pass distinct indices.
+    /// An rvalue `state` is moved into the store only when it is
+    /// admitted: after a duplicate it is left as it was.
+    template <class T>
+      requires std::same_as<std::remove_cvref_t<T>, S>
     InsertResult insert(
-      const S& state,
+      T&& state,
       uint64_t fp,
       Id parent,
       uint32_t action,
@@ -339,15 +344,15 @@ namespace scv::spec
       const S* body = nullptr;
       if (fingerprint_only())
       {
-        body = &shard.frontier_bodies.emplace(local, state).first->second;
+        body = &shard.frontier_bodies
+                  .try_emplace(local, std::forward<T>(state))
+                  .first->second;
         shard.body_bytes.fetch_add(
           frontier_body_bytes, std::memory_order_relaxed);
       }
       else
       {
-        std::deque<S>& arena = arenas_[worker]->bodies;
-        arena.push_back(state);
-        body = &arena.back();
+        body = arenas_[worker]->emplace(std::forward<T>(state));
         body_slot(shard, local) = body;
         shard.body_bytes.fetch_add(
           sizeof(S) + sizeof(const S*), std::memory_order_relaxed);
@@ -432,7 +437,10 @@ namespace scv::spec
     /// Resident bytes: index slots + heap (unspilled) hot-arena blocks +
     /// state bodies. Body bytes are an estimate (sizeof(S) per retained
     /// body plus map overhead for frontier bodies); states owning heap
-    /// memory cost more than reported. Wait-free; exact when quiescent.
+    /// memory cost more than reported. The consensus State, for one,
+    /// keeps its nodes in a vector sized to the model, so its sizeof
+    /// covers only the vector handles, not the nodes. Wait-free; exact
+    /// when quiescent.
     [[nodiscard]] size_t store_bytes() const
     {
       size_t total = 0;
@@ -614,10 +622,10 @@ namespace scv::spec
             prev[i].state,
             actions[k],
             root_depth + static_cast<uint32_t>(k) + 1,
-            Emit<S>([&](const S& succ) {
+            Emit<S>([&](S&& succ) {
               if (seen.insert(fingerprint(succ)).second)
               {
-                next.push_back({succ, i});
+                next.push_back({std::move(succ), i});
               }
             }));
         }
@@ -712,12 +720,54 @@ namespace scv::spec
       std::unique_ptr<const S*[]> bodies;
     };
 
-    /// One worker's full-mode bodies (deque: growth never moves them).
-    /// Cache-line aligned so neighbouring workers' deque ends do not
-    /// share a line.
-    struct alignas(64) Arena
+    /// One worker's full-mode bodies, constructed in place in chunks of
+    /// raw storage that never move. Cache-line aligned so neighbouring
+    /// workers' fill cursors do not share a line.
+    class alignas(64) Arena
     {
-      std::deque<S> bodies;
+    public:
+      static constexpr size_t chunk_bodies = 1024;
+
+      Arena() = default;
+      Arena(const Arena&) = delete;
+      Arena& operator=(const Arena&) = delete;
+
+      ~Arena()
+      {
+        release();
+      }
+
+      template <class T>
+      const S* emplace(T&& state)
+      {
+        if (chunks_.empty() || used_ == chunk_bodies)
+        {
+          chunks_.push_back(std::allocator<S>{}.allocate(chunk_bodies));
+          used_ = 0;
+        }
+        S* slot = chunks_.back() + used_;
+        std::construct_at(slot, std::forward<T>(state));
+        ++used_;
+        return slot;
+      }
+
+      /// Destroys every body and frees every chunk.
+      void release()
+      {
+        for (size_t c = 0; c < chunks_.size(); ++c)
+        {
+          std::destroy_n(
+            chunks_[c], c + 1 == chunks_.size() ? used_ : chunk_bodies);
+          std::allocator<S>{}.deallocate(chunks_[c], chunk_bodies);
+        }
+        std::vector<S*>().swap(chunks_);
+        used_ = 0;
+      }
+
+    private:
+      std::vector<S*> chunks_;
+      /// Bodies constructed in the last chunk.
+      size_t used_ = 0;
     };
 
     struct Shard

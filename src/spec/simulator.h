@@ -243,8 +243,8 @@ namespace scv::spec
           bool any = false;
           for (size_t a = 0; a < spec_.actions.size(); ++a)
           {
-            spec_.actions[a].expand(current, [&](const S& next) {
-              successors[a].push_back(next);
+            spec_.actions[a].expand(current, [&](S&& next) {
+              successors[a].push_back(std::move(next));
             });
             result.stats.generated_states += successors[a].size();
             enabled[a] = !successors[a].empty();
@@ -264,7 +264,8 @@ namespace scv::spec
             break; // all enabled actions have zero weight
           }
           const size_t a = *picked;
-          const S next = successors[a][rng_.below(successors[a].size())];
+          S next =
+            std::move(successors[a][rng_.below(successors[a].size())]);
           result.stats.transitions++;
           result.stats.action_coverage[spec_.actions[a].name]++;
 
@@ -303,7 +304,7 @@ namespace scv::spec
             }
           }
 
-          current = next;
+          current = std::move(next);
           if (store_ != nullptr)
           {
             const auto ins = expander_.admit(

@@ -15,8 +15,12 @@
 #pragma once
 
 #include <concepts>
+#include <cstddef>
 #include <functional>
+#include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/hash.h"
@@ -83,9 +87,63 @@ namespace scv::spec
     }
   };
 
-  /// Callback receiving each successor produced by an action.
+  /// Callback receiving each successor produced by an action
+  /// (docs/SPEC.md "The Emit contract"). Actions hand over the successor
+  /// they built: emit(std::move(s2)). The receiver takes it by S&& and
+  /// moves it into the store or a successor vector only if it keeps it.
+  ///
+  /// Emit is on the per-transition path, so it never allocates. It holds
+  /// an inline copy of a small, trivially copyable callable, typically a
+  /// lambda that captures by reference, and calls it through one function
+  /// pointer. It owns that copy: an Emit built from a temporary lambda
+  /// and stored in a local stays callable, which a non-owning reference
+  /// would not. Larger or non-trivial callables fail a static_assert;
+  /// capture them by reference instead.
+  ///
+  /// Emitting an lvalue calls the const S& overload, which copies it.
   template <class S>
-  using Emit = std::function<void(const S&)>;
+  class Emit
+  {
+  public:
+    /// Bytes of callable held inline: eight captured references.
+    static constexpr size_t inline_bytes = 64;
+
+    template <class F>
+      requires(
+        !std::same_as<std::remove_cvref_t<F>, Emit> &&
+        std::invocable<const std::remove_cvref_t<F>&, S &&>)
+    Emit(F&& fn) // NOLINT(google-explicit-constructor): lambdas convert
+    {
+      using Fn = std::remove_cvref_t<F>;
+      static_assert(
+        sizeof(Fn) <= inline_bytes && alignof(Fn) <= alignof(void*),
+        "Emit callable too large: capture by reference");
+      static_assert(
+        std::is_trivially_copyable_v<Fn> &&
+          std::is_trivially_destructible_v<Fn>,
+        "Emit callable must be trivially copyable: capture by reference");
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
+      call_ = [](const void* stored, S&& s) {
+        (*static_cast<const Fn*>(stored))(std::move(s));
+      };
+    }
+
+    void operator()(S&& s) const
+    {
+      call_(storage_, std::move(s));
+    }
+
+    /// Copies `s` and emits the copy; `s` is left as it was.
+    void operator()(const S& s) const
+    {
+      S copy = s;
+      call_(storage_, std::move(copy));
+    }
+
+  private:
+    alignas(void*) unsigned char storage_[inline_bytes];
+    void (*call_)(const void*, S&&);
+  };
 
   /// A named guarded action: from a state, emits zero or more successors.
   /// Emitting nothing means the action is disabled in that state.

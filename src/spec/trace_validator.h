@@ -471,7 +471,7 @@ namespace scv::spec
         }
         const Item& item = frontier[i];
         expander_.with_faults(item.state, [&](const S& pre) {
-          lines_[line].expand(pre, [&](const S& succ) {
+          lines_[line].expand(pre, [&](S&& succ) {
             explored.fetch_add(1, std::memory_order_relaxed);
             const auto ins = expander_.admit_keyed(
               store,
@@ -484,12 +484,11 @@ namespace scv::spec
             if (ins.inserted)
             {
               cover(succ, line + 1, w);
+              std::shared_ptr<PathNode> chain = options_.prune_bfs_store ?
+                std::make_shared<PathNode>(PathNode{succ, item.chain}) :
+                nullptr;
               local.next.push_back(
-                {succ,
-                 ins.id,
-                 options_.prune_bfs_store ?
-                   std::make_shared<PathNode>(PathNode{succ, item.chain}) :
-                   nullptr});
+                {std::move(succ), ins.id, std::move(chain)});
             }
             else
             {
@@ -658,9 +657,9 @@ namespace scv::spec
       out.successors.clear();
       out.next = 0;
       expander_.with_faults(state, [&](const S& pre) {
-        lines_[line].expand(pre, [&](const S& succ) {
+        lines_[line].expand(pre, [&](S&& succ) {
           result_.states_explored++;
-          out.successors.push_back(succ);
+          out.successors.push_back(std::move(succ));
         });
       });
       return Enter::Entered;
@@ -895,8 +894,8 @@ namespace scv::spec
       task->fp = fp;
       std::vector<S> successors;
       expander_.with_faults(task->state, [&](const S& pre) {
-        lines_[task->line].expand(pre, [&](const S& succ) {
-          successors.push_back(succ);
+        lines_[task->line].expand(pre, [&](S&& succ) {
+          successors.push_back(std::move(succ));
         });
       });
       shared.explored.fetch_add(

@@ -14,6 +14,7 @@ namespace scv::specs::ccfraft
 
     State s;
     s.n_nodes = params.n_nodes;
+    s.nodes.resize(params.n_nodes);
     for (Nid n = 1; n <= params.n_nodes; ++n)
     {
       SpecNode& nd = s.node(n);
@@ -220,7 +221,7 @@ namespace scv::specs::ccfraft
       n2.current_term += 1;
       n2.voted_for = i;
       n2.votes_granted = with_node(0, i);
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void request_vote(
@@ -246,7 +247,7 @@ namespace scv::specs::ccfraft
       }
       State s2 = s;
       s2.add_message(m);
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void become_leader(
@@ -273,7 +274,7 @@ namespace scv::specs::ccfraft
         n2.sent_index[j - 1] = has_node(targets, j) ? n2.len() : 0;
         n2.match_index[j - 1] = 0;
       }
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void client_request(
@@ -291,7 +292,7 @@ namespace scv::specs::ccfraft
       SpecNode& n2 = s2.node(i);
       append_to(n2, i, {n2.current_term, EType::Data, s2.next_request, 0});
       s2.next_request += 1;
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void sign(const Params& p, const State& s, Nid i, const Emit<State>& emit)
@@ -304,7 +305,7 @@ namespace scv::specs::ccfraft
       State s2 = s;
       SpecNode& n2 = s2.node(i);
       append_to(n2, i, {n2.current_term, EType::Sig, 0, 0});
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void change_configuration(
@@ -340,7 +341,7 @@ namespace scv::specs::ccfraft
           n2.match_index[j - 1] = 0;
         }
       }
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void append_entries(
@@ -390,7 +391,7 @@ namespace scv::specs::ccfraft
         // Optimistic acknowledgement: sent index advances at send (§2.1).
         s2.node(i).sent_index[j - 1] = end;
         s2.add_message(m);
-        emit(s2);
+        emit(std::move(s2));
       };
 
       if (forced_entries >= 0)
@@ -435,7 +436,7 @@ namespace scv::specs::ccfraft
       SpecNode& n2 = s2.node(i);
       n2.snap_idx = idx;
       n2.snap_term = nd.term_at(idx);
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void send_snapshot(
@@ -475,7 +476,7 @@ namespace scv::specs::ccfraft
       // advances to the snapshot index; a NACK rolls it back.
       s2.node(i).sent_index[j - 1] = nd.snap_idx;
       s2.add_message(m);
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void handle_install_snapshot(
@@ -515,12 +516,12 @@ namespace scv::specs::ccfraft
       if (m.term < n2.current_term)
       {
         reply(false, 0);
-        emit(s2);
+        emit(std::move(s2));
         return;
       }
       if (n2.role == SRole::Leader)
       {
-        emit(s2); // same-term snapshot to a leader: consumed, ignored
+        emit(std::move(s2)); // same-term snapshot to a leader: consumed, ignored
         return;
       }
       if (n2.role == SRole::Candidate)
@@ -534,7 +535,7 @@ namespace scv::specs::ccfraft
         // Already covered: acknowledge progress without installing
         // (mirrors the implementation, which keeps its longer prefix).
         reply(true, n2.commit_index);
-        emit(s2);
+        emit(std::move(s2));
         return;
       }
 
@@ -569,7 +570,7 @@ namespace scv::specs::ccfraft
         n2.membership = SMembership::Active;
       }
       reply(true, m.last_idx);
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void handle_ae_request(
@@ -609,12 +610,12 @@ namespace scv::specs::ccfraft
       if (m.term < n2.current_term)
       {
         reply(false, 0);
-        emit(s2);
+        emit(std::move(s2));
         return;
       }
       if (n2.role == SRole::Leader)
       {
-        emit(s2); // same-term AE to a leader: consumed, ignored
+        emit(std::move(s2)); // same-term AE to a leader: consumed, ignored
         return;
       }
       if (n2.role == SRole::Candidate)
@@ -636,7 +637,7 @@ namespace scv::specs::ccfraft
           bound -= 1;
         }
         reply(false, n2.agreement_estimate(bound, m.prev_term));
-        emit(s2);
+        emit(std::move(s2));
         return;
       }
 
@@ -682,7 +683,7 @@ namespace scv::specs::ccfraft
       }
 
       reply(true, p.bugs.ack_local_last_idx ? n2.len() : ae_end);
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void handle_ae_response(
@@ -708,7 +709,7 @@ namespace scv::specs::ccfraft
       SpecNode& n2 = s2.node(to);
       if (m.term < n2.current_term || n2.role != SRole::Leader)
       {
-        emit(s2); // stale or not leading: consumed, ignored
+        emit(std::move(s2)); // stale or not leading: consumed, ignored
         return;
       }
       const Nid j = m.from;
@@ -726,7 +727,7 @@ namespace scv::specs::ccfraft
         }
         n2.sent_index[j - 1] = std::min(m.last_idx, n2.len());
       }
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void handle_rv_request(
@@ -764,7 +765,7 @@ namespace scv::specs::ccfraft
       r.term = n2.current_term;
       r.success = grant;
       s2.add_message(r);
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void handle_rv_response(
@@ -793,7 +794,7 @@ namespace scv::specs::ccfraft
       {
         n2.votes_granted = with_node(n2.votes_granted, m.from);
       }
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void update_term(
@@ -827,7 +828,7 @@ namespace scv::specs::ccfraft
           n2.role = SRole::Follower;
           clear_leader_state(n2);
         }
-        emit(s2);
+        emit(std::move(s2));
       }
     }
 
@@ -845,7 +846,7 @@ namespace scv::specs::ccfraft
       SpecNode& n2 = s2.node(i);
       n2.role = SRole::Follower;
       clear_leader_state(n2);
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void propose_vote(
@@ -874,11 +875,11 @@ namespace scv::specs::ccfraft
         m.term = nd.current_term;
         s2.add_message(m);
         s2.node(i).role = SRole::Retired;
-        emit(s2);
+        emit(std::move(s2));
       }
       State s2 = s;
       s2.node(i).role = SRole::Retired;
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void handle_propose_vote(
@@ -902,7 +903,7 @@ namespace scv::specs::ccfraft
       // which logs recvPV and becomeCandidate as two events.
       State s2 = s;
       s2.remove_message(m);
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void advance_commit(
@@ -913,8 +914,12 @@ namespace scv::specs::ccfraft
       {
         return;
       }
-      for (const uint8_t idx : nd.sig_indices_after(nd.commit_index))
+      for (uint8_t idx = nd.commit_index + 1; idx <= nd.len(); ++idx)
       {
+        if (nd.log[idx - 1].type != EType::Sig)
+        {
+          continue;
+        }
         Bits have = with_node(0, i);
         for (Nid j = 1; j <= s.n_nodes; ++j)
         {
@@ -940,7 +945,7 @@ namespace scv::specs::ccfraft
         const uint8_t old = n2.commit_index;
         n2.commit_index = idx;
         commit_effects(n2, i, old);
-        emit(s2);
+        emit(std::move(s2));
       }
     }
 
@@ -975,7 +980,7 @@ namespace scv::specs::ccfraft
         }
         State s2 = s;
         append_to(s2.node(i), i, {nd.current_term, EType::Retire, n, 0});
-        emit(s2);
+        emit(std::move(s2));
       }
     }
 
@@ -988,7 +993,7 @@ namespace scv::specs::ccfraft
       }
       State s2 = s;
       s2.remove_message(m);
-      emit(s2);
+      emit(std::move(s2));
     }
 
     void duplicate_message(
@@ -1005,7 +1010,7 @@ namespace scv::specs::ccfraft
       }
       State s2 = s;
       s2.add_message(m);
-      emit(s2);
+      emit(std::move(s2));
     }
   }
 
@@ -1017,7 +1022,7 @@ namespace scv::specs::ccfraft
 
     spec::SpecDef<State> def;
     def.name = "ccfraft";
-    def.init = {initial_state(params)};
+    def.init.push_back(initial_state(params));
 
     const Params p = params; // captured by value in every action
 
@@ -1102,9 +1107,10 @@ namespace scv::specs::ccfraft
            for (Nid i = 1; i <= s.n_nodes; ++i)
            {
              const SpecNode& nd = s.node(i);
-             for (const uint8_t idx : nd.sig_indices_after(nd.snap_idx))
+             for (uint8_t idx = nd.snap_idx + 1; idx <= nd.commit_index;
+                  ++idx)
              {
-               if (idx <= nd.commit_index)
+               if (idx <= nd.len() && nd.at(idx).type == EType::Sig)
                {
                  a::compact_log(p, s, i, idx, emit);
                }

@@ -85,19 +85,6 @@ namespace scv::specs::ccfraft
     return 0;
   }
 
-  std::vector<uint8_t> SpecNode::sig_indices_after(uint8_t after) const
-  {
-    std::vector<uint8_t> out;
-    for (uint8_t i = after + 1; i <= len(); ++i)
-    {
-      if (log[i - 1].type == EType::Sig)
-      {
-        out.push_back(i);
-      }
-    }
-    return out;
-  }
-
   void State::add_message(const SpecMessage& msg, uint8_t copies)
   {
     const auto it = std::lower_bound(
@@ -248,19 +235,60 @@ namespace scv::specs::ccfraft
     return {all.begin() + static_cast<ptrdiff_t>(current), all.end()};
   }
 
+  namespace
+  {
+    /// Log index of the current configuration: the last Reconfig entry at
+    /// or below the commit index, else the first Reconfig entry.
+    uint8_t current_config_index(const SpecNode& node)
+    {
+      uint8_t first = 0;
+      uint8_t current = 0;
+      for (uint8_t i = 1; i <= node.len(); ++i)
+      {
+        if (node.log[i - 1].type != EType::Reconfig)
+        {
+          continue;
+        }
+        if (first == 0)
+        {
+          first = i;
+        }
+        if (i > node.commit_index)
+        {
+          break;
+        }
+        current = i;
+      }
+      SCV_CHECK_MSG(first != 0, "spec log must begin with a configuration");
+      return current != 0 ? current : first;
+    }
+
+    /// Calls fn(nodes) for each active configuration, oldest first.
+    template <class Fn>
+    void for_each_active_config(const SpecNode& node, Fn&& fn)
+    {
+      for (uint8_t i = current_config_index(node); i <= node.len(); ++i)
+      {
+        if (node.log[i - 1].type == EType::Reconfig)
+        {
+          fn(node.log[i - 1].config);
+        }
+      }
+    }
+  }
+
   Bits active_nodes(const SpecNode& node)
   {
     Bits out = 0;
-    for (const auto& c : active_configs(node))
-    {
-      out = static_cast<Bits>(out | c.nodes);
-    }
+    for_each_active_config(
+      node, [&](Bits config) { out = static_cast<Bits>(out | config); });
     return out;
   }
 
   SpecConfig current_config(const SpecNode& node)
   {
-    return active_configs(node).front();
+    const uint8_t idx = current_config_index(node);
+    return {idx, node.log[idx - 1].config};
   }
 
   Bits retired_nodes(const SpecNode& node)
@@ -279,23 +307,26 @@ namespace scv::specs::ccfraft
   Bits known_nodes(const SpecNode& node)
   {
     Bits out = 0;
-    for (const auto& c : configs_of(node))
+    bool any = false;
+    for (const SpecEntry& e : node.log)
     {
-      out = static_cast<Bits>(out | c.nodes);
+      if (e.type == EType::Reconfig)
+      {
+        out = static_cast<Bits>(out | e.config);
+        any = true;
+      }
     }
+    SCV_CHECK_MSG(any, "spec log must begin with a configuration");
     return out;
   }
 
   bool quorum_in_each(const SpecNode& node, Bits have)
   {
-    for (const auto& c : active_configs(node))
-    {
-      if (!majority(c.nodes, have))
-      {
-        return false;
-      }
-    }
-    return true;
+    bool all = true;
+    for_each_active_config(node, [&](Bits config) {
+      all = all && majority(config, have);
+    });
+    return all;
   }
 
   bool quorum_in_union(const SpecNode& node, Bits have)

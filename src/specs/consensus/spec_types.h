@@ -249,9 +249,6 @@ namespace scv::specs::ccfraft
     /// Express catch-up estimate; mirrors Ledger::agreement_estimate.
     [[nodiscard]] uint8_t agreement_estimate(
       uint8_t bound, uint8_t max_term) const;
-
-    /// Signature indices in (after, len].
-    [[nodiscard]] std::vector<uint8_t> sig_indices_after(uint8_t after) const;
   };
 
   /// One configuration discovered in a log.
@@ -264,7 +261,9 @@ namespace scv::specs::ccfraft
   struct State
   {
     uint8_t n_nodes = 0;
-    std::array<SpecNode, kMaxNodes> nodes{};
+    /// Exactly n_nodes entries (initial_state sizes it), so copies and
+    /// comparisons touch only the model's nodes.
+    std::vector<SpecNode> nodes;
     /// Multiset of in-transit messages: sorted unique messages with counts.
     std::vector<std::pair<SpecMessage, uint8_t>> network;
     /// Next client-request payload id (bounded by the model).
@@ -315,12 +314,17 @@ namespace scv::specs::ccfraft
   };
 
   // --- derived (log-scanned) views ------------------------------------------
+  //
+  // The views below the two vector-returning ones scan the log in place
+  // and allocate nothing; they run on every expanded state.
+  // consensus_spec_test checks them against the vector forms.
 
   /// All configurations in a log, in order; the bootstrap log guarantees at
   /// least one.
   std::vector<SpecConfig> configs_of(const SpecNode& node);
 
-  /// Active configurations given the node's commit index.
+  /// Active configurations given the node's commit index: the current
+  /// configuration and every later one.
   std::vector<SpecConfig> active_configs(const SpecNode& node);
 
   /// Union of active-configuration node sets.

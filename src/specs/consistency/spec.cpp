@@ -216,7 +216,7 @@ namespace scv::specs::consistency
          State s2 = s;
          s2.history.push_back({EvType::RwReq, s2.next_tx, 0, 0, 0, {}});
          s2.next_tx += 1;
-         emit(s2);
+         emit(std::move(s2));
        },
        1.0});
 
@@ -230,7 +230,7 @@ namespace scv::specs::consistency
          State s2 = s;
          s2.history.push_back({EvType::RoReq, s2.next_tx, 0, 0, 0, {}});
          s2.next_tx += 1;
-         emit(s2);
+         emit(std::move(s2));
        },
        1.0});
 
@@ -249,7 +249,7 @@ namespace scv::specs::consistency
            {
              State s2 = s;
              s2.branches[b].push_back(tx);
-             emit(s2);
+             emit(std::move(s2));
            }
          }
        },
@@ -290,7 +290,7 @@ namespace scv::specs::consistency
              }
              State s2 = s;
              s2.history.push_back(e);
-             emit(s2);
+             emit(std::move(s2));
            }
          }
        },
@@ -320,7 +320,7 @@ namespace scv::specs::consistency
              }
              State s2 = s;
              s2.history.push_back(e);
-             emit(s2);
+             emit(std::move(s2));
            }
          }
        },
@@ -340,7 +340,7 @@ namespace scv::specs::consistency
            {
              State s2 = s;
              s2.committed.assign(b.begin(), b.begin() + static_cast<ptrdiff_t>(len));
-             emit(s2);
+             emit(std::move(s2));
            }
          }
        },
@@ -370,7 +370,7 @@ namespace scv::specs::consistency
            State s2 = s;
            s2.history.push_back(
              {EvType::Status, tx, 0, res->term, res->index, TxSt::Committed});
-           emit(s2);
+           emit(std::move(s2));
          }
        },
        1.0});
@@ -399,7 +399,7 @@ namespace scv::specs::consistency
            State s2 = s;
            s2.history.push_back(
              {EvType::Status, tx, 0, res->term, res->index, TxSt::Invalid});
-           emit(s2);
+           emit(std::move(s2));
          }
        },
        1.0});
@@ -432,7 +432,7 @@ namespace scv::specs::consistency
              seen.push_back(prefix);
              State s2 = s;
              s2.branches.push_back(prefix);
-             emit(s2);
+             emit(std::move(s2));
            }
          }
        },

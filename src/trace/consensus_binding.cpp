@@ -101,19 +101,16 @@ namespace scv::trace
     /// above the node's current term — the piggybacked-term grain of
     /// atomicity (§6.2.1). Calls `next` on each state in which the
     /// handler is enabled term-wise.
+    template <class Next>
     void with_update_term(
-      const Params& p,
-      const State& s,
-      Nid node,
-      uint64_t msg_term,
-      const std::function<void(const State&)>& next)
+      const Params& p, const State& s, Nid node, uint64_t msg_term, Next&& next)
     {
       if (s.node(node).current_term >= msg_term)
       {
         next(s);
         return;
       }
-      actions::update_term(p, s, node, [&](const State& s2) {
+      actions::update_term(p, s, node, [&](State&& s2) {
         if (s2.node(node).current_term >= msg_term)
         {
           next(s2);
@@ -162,10 +159,10 @@ namespace scv::trace
             }
             actions::append_entries(
               p, s, node, peer, static_cast<int>(e.n_entries),
-              [&](const State& s2) {
+              [&](State&& s2) {
                 if (s2.message_count(m) > s.message_count(m))
                 {
-                  emit(s2);
+                  emit(std::move(s2));
                 }
               });
           };
@@ -191,7 +188,7 @@ namespace scv::trace
             for (const SpecMessage& m : candidates)
             {
               with_update_term(p, s, node, e.msg_term, [&](const State& s1) {
-                actions::handle_ae_request(p, s1, node, m, [&](const State& s2) {
+                actions::handle_ae_request(p, s1, node, m, [&](State&& s2) {
                   if (reply.has_value())
                   {
                     SpecMessage r;
@@ -206,7 +203,7 @@ namespace scv::trace
                       return; // the spec's reply differs from the trace's
                     }
                   }
-                  emit(s2);
+                  emit(std::move(s2));
                 });
               });
             }
@@ -265,7 +262,7 @@ namespace scv::trace
             {
               return;
             }
-            actions::request_vote(p, s, node, peer, [&](const State& s2) {
+            actions::request_vote(p, s, node, peer, [&](State&& s2) {
               SpecMessage m;
               m.type = MType::RvReq;
               m.from = node;
@@ -275,7 +272,7 @@ namespace scv::trace
               m.last_log_term = static_cast<uint8_t>(e.prev_term);
               if (s2.message_count(m) > s.message_count(m))
               {
-                emit(s2);
+                emit(std::move(s2));
               }
             });
           };
@@ -300,7 +297,7 @@ namespace scv::trace
               return;
             }
             with_update_term(p, s, node, e.msg_term, [&](const State& s1) {
-              actions::handle_rv_request(p, s1, node, m, [&](const State& s2) {
+              actions::handle_rv_request(p, s1, node, m, [&](State&& s2) {
                 if (reply.has_value())
                 {
                   SpecMessage r;
@@ -314,7 +311,7 @@ namespace scv::trace
                     return;
                   }
                 }
-                emit(s2);
+                emit(std::move(s2));
               });
             });
           };
@@ -369,7 +366,7 @@ namespace scv::trace
             {
               return;
             }
-            actions::propose_vote(p, s, node, [&](const State& s2) {
+            actions::propose_vote(p, s, node, [&](State&& s2) {
               SpecMessage m;
               m.type = MType::ProposeVote;
               m.from = node;
@@ -377,7 +374,7 @@ namespace scv::trace
               m.term = static_cast<uint8_t>(e.msg_term);
               if (s2.message_count(m) > s.message_count(m))
               {
-                emit(s2);
+                emit(std::move(s2));
               }
             });
           };
@@ -404,10 +401,10 @@ namespace scv::trace
 
         case EventKind::BecomeCandidate:
           line.expand = [e, p, node](const State& s, const Emit<State>& emit) {
-            actions::timeout(p, s, node, [&](const State& s2) {
+            actions::timeout(p, s, node, [&](State&& s2) {
               if (post_state_matches(s2, e))
               {
-                emit(s2);
+                emit(std::move(s2));
               }
             });
           };
@@ -415,10 +412,10 @@ namespace scv::trace
 
         case EventKind::BecomeLeader:
           line.expand = [e, p, node](const State& s, const Emit<State>& emit) {
-            actions::become_leader(p, s, node, [&](const State& s2) {
+            actions::become_leader(p, s, node, [&](State&& s2) {
               if (post_state_matches(s2, e))
               {
-                emit(s2);
+                emit(std::move(s2));
               }
             });
           };
@@ -444,10 +441,10 @@ namespace scv::trace
 
         case EventKind::ClientRequest:
           line.expand = [e, p, node](const State& s, const Emit<State>& emit) {
-            actions::client_request(p, s, node, [&](const State& s2) {
+            actions::client_request(p, s, node, [&](State&& s2) {
               if (post_state_matches(s2, e))
               {
-                emit(s2);
+                emit(std::move(s2));
               }
             });
           };
@@ -459,12 +456,12 @@ namespace scv::trace
           // (AppendRetirement)* · Sign until the logged log length is
           // reached.
           line.expand = [e, p, node](const State& s, const Emit<State>& emit) {
-            const std::function<void(const State&)> try_sign =
+            const auto try_sign =
               [&](const State& s1) {
-                actions::sign(p, s1, node, [&](const State& s2) {
+                actions::sign(p, s1, node, [&](State&& s2) {
                   if (post_state_matches(s2, e))
                   {
-                    emit(s2);
+                    emit(std::move(s2));
                   }
                 });
               };
@@ -477,9 +474,9 @@ namespace scv::trace
               std::vector<State> next_layer;
               for (const State& s1 : layer)
               {
-                actions::append_retirement(p, s1, node, [&](const State& s2) {
-                  next_layer.push_back(s2);
+                actions::append_retirement(p, s1, node, [&](State&& s2) {
                   try_sign(s2);
+                  next_layer.push_back(std::move(s2));
                 });
               }
               if (next_layer.empty())
@@ -500,10 +497,10 @@ namespace scv::trace
             {
               emit(s); // already advanced during a receive: stutter
             }
-            actions::advance_commit(p, s, node, [&](const State& s2) {
+            actions::advance_commit(p, s, node, [&](State&& s2) {
               if (post_state_matches(s2, e))
               {
-                emit(s2);
+                emit(std::move(s2));
               }
             });
           };
@@ -517,10 +514,10 @@ namespace scv::trace
               cfg = specs::ccfraft::with_node(cfg, static_cast<Nid>(n));
             }
             actions::change_configuration(
-              p, s, node, cfg, [&](const State& s2) {
+              p, s, node, cfg, [&](State&& s2) {
                 if (post_state_matches(s2, e))
                 {
-                  emit(s2);
+                  emit(std::move(s2));
                 }
               });
           };
@@ -528,10 +525,10 @@ namespace scv::trace
 
         case EventKind::CheckQuorumStepDown:
           line.expand = [e, p, node](const State& s, const Emit<State>& emit) {
-            actions::check_quorum(p, s, node, [&](const State& s2) {
+            actions::check_quorum(p, s, node, [&](State&& s2) {
               if (post_state_matches(s2, e))
               {
-                emit(s2);
+                emit(std::move(s2));
               }
             });
           };
@@ -565,12 +562,12 @@ namespace scv::trace
             }
             if (s.node(node).role == SRole::Leader)
             {
-              actions::propose_vote(p, s, node, [&](const State& s2) {
+              actions::propose_vote(p, s, node, [&](State&& s2) {
                 if (
                   s2.network_size() == s.network_size() &&
                   post_state_matches(s2, e))
                 {
-                  emit(s2);
+                  emit(std::move(s2));
                 }
               });
             }
@@ -586,7 +583,7 @@ namespace scv::trace
             {
               return;
             }
-            actions::send_snapshot(p, s, node, peer, [&](const State& s2) {
+            actions::send_snapshot(p, s, node, peer, [&](State&& s2) {
               const auto gained = matching_messages(s2, [&](const SpecMessage& m) {
                 return m.type == MType::InstallSnap && m.from == node &&
                   m.to == peer && m.term == e.msg_term &&
@@ -595,7 +592,7 @@ namespace scv::trace
               });
               if (!gained.empty())
               {
-                emit(s2);
+                emit(std::move(s2));
               }
             });
           };
@@ -620,7 +617,7 @@ namespace scv::trace
             {
               with_update_term(p, s, node, e.msg_term, [&](const State& s1) {
                 actions::handle_install_snapshot(
-                  p, s1, node, m, [&](const State& s2) {
+                  p, s1, node, m, [&](State&& s2) {
                     if (reply.has_value())
                     {
                       SpecMessage r;
@@ -635,7 +632,7 @@ namespace scv::trace
                         return;
                       }
                     }
-                    emit(s2);
+                    emit(std::move(s2));
                   });
               });
             }
@@ -648,10 +645,10 @@ namespace scv::trace
           line.expand = [e, p, node](const State& s, const Emit<State>& emit) {
             actions::compact_log(
               p, s, node, static_cast<uint8_t>(e.last_idx),
-              [&](const State& s2) {
+              [&](State&& s2) {
                 if (post_state_matches(s2, e))
                 {
-                  emit(s2);
+                  emit(std::move(s2));
                 }
               });
             // Stuttering variant: an install (recvIS) both sets the

@@ -270,7 +270,7 @@ namespace scv::trace
             State s2 = s;
             s2.history.push_back({EvType::RwReq, s2.next_tx, 0, 0, 0, {}});
             s2.next_tx += 1;
-            emit(s2);
+            emit(std::move(s2));
           };
           break;
 
@@ -279,7 +279,7 @@ namespace scv::trace
             State s2 = s;
             s2.history.push_back({EvType::RoReq, s2.next_tx, 0, 0, 0, {}});
             s2.next_tx += 1;
-            emit(s2);
+            emit(std::move(s2));
           };
           break;
 
@@ -339,7 +339,7 @@ namespace scv::trace
                 res.observed = specs::consistency::with_tx(res.observed, *otx);
               }
               s2.history.push_back(res);
-              emit(s2);
+              emit(std::move(s2));
             });
           };
           break;
@@ -387,7 +387,7 @@ namespace scv::trace
                 res.observed = specs::consistency::with_tx(res.observed, *otx);
               }
               s2.history.push_back(res);
-              emit(s2);
+              emit(std::move(s2));
             });
           };
           break;
@@ -442,7 +442,7 @@ namespace scv::trace
                    h.term,
                    h.index,
                    want_committed ? TxSt::Committed : TxSt::Invalid});
-                emit(s2);
+                emit(std::move(s2));
               }
             });
           };

@@ -477,7 +477,7 @@ namespace
            fn(next);
            if (!(next == s))
            {
-             emit(next);
+             emit(std::move(next));
            }
          },
          1.0});

@@ -838,6 +838,70 @@ TEST(ConsensusSerialize, PackedEncoderMatchesFieldByFieldOnSymmetricInits)
   }
 }
 
+// The allocation-free derived views (active_nodes, current_config,
+// known_nodes, quorum_in_each) scan the log in place; the vector-returning
+// configs_of/active_configs are their oracle. Checked on every reachable
+// state of a reconfiguration model where joint configurations, removals
+// and retirements all occur.
+TEST(ConsensusDerivedViews, AgreeWithConfigListsOnReconfigurationModel)
+{
+  Params p;
+  p.n_nodes = 3;
+  p.max_term = 1;
+  p.max_requests = 0;
+  p.max_log_len = 4; // room to commit one reconfiguration
+  p.max_batch = 1;
+  p.max_network = 1;
+  p.max_copies = 1;
+  p.allowed_reconfigs = {0b011, 0b110};
+  const auto states = all_reachable(build_spec(p));
+  ASSERT_GT(states.size(), 1000u);
+  size_t joint = 0;
+  size_t moved_on = 0;
+  size_t retiring = 0;
+  for (const State& s : states)
+  {
+    for (Nid i = 1; i <= s.n_nodes; ++i)
+    {
+      const SpecNode& nd = s.node(i);
+      const auto all = configs_of(nd);
+      const auto active = active_configs(nd);
+      Bits union_all = 0;
+      for (const SpecConfig& c : all)
+      {
+        union_all = static_cast<Bits>(union_all | c.nodes);
+      }
+      Bits union_active = 0;
+      for (const SpecConfig& c : active)
+      {
+        union_active = static_cast<Bits>(union_active | c.nodes);
+      }
+      ASSERT_EQ(active_nodes(nd), union_active) << s.to_string();
+      ASSERT_EQ(known_nodes(nd), union_all) << s.to_string();
+      ASSERT_EQ(current_config(nd).idx, active.front().idx) << s.to_string();
+      ASSERT_EQ(current_config(nd).nodes, active.front().nodes)
+        << s.to_string();
+      for (unsigned have = 0; have < (1u << s.n_nodes); ++have)
+      {
+        bool each = true;
+        for (const SpecConfig& c : active)
+        {
+          each = each && majority(c.nodes, static_cast<Bits>(have));
+        }
+        ASSERT_EQ(quorum_in_each(nd, static_cast<Bits>(have)), each)
+          << s.to_string() << " have=" << have;
+      }
+      joint += active.size() > 1 ? 1 : 0;
+      moved_on += active.front().idx > 1 ? 1 : 0;
+      retiring += nd.membership != SMembership::Active ? 1 : 0;
+    }
+  }
+  // The model reaches every shape the views distinguish.
+  EXPECT_GT(joint, 0u);
+  EXPECT_GT(moved_on, 0u);
+  EXPECT_GT(retiring, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Bug 4 (truncation from early AE): a duplicated AppendEntries delivered
 // after commit advanced truncates committed entries; model checking finds

@@ -82,7 +82,7 @@ namespace
            fn(next);
            if (!(next == s))
            {
-             emit(next);
+             emit(std::move(next));
            }
          },
          1.0});

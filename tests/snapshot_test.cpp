@@ -530,7 +530,7 @@ TEST(SnapshotExpander, FaultClosureGatesSuccessorsButNotBase)
     [offer](const State& s, const spec::Emit<State>& emit) {
       State f = s;
       f.add_message(offer); // one more InstallSnap copy in flight
-      emit(f);
+      emit(std::move(f));
     },
     2);
 
@@ -565,7 +565,7 @@ TEST(SnapshotExpander, FaultClosureGatesSuccessorsButNotBase)
     [offer](const State& s, const spec::Emit<State>& emit) {
       State f = s;
       f.add_message(offer);
-      emit(f);
+      emit(std::move(f));
     },
     2);
   emitted.clear();

@@ -4,6 +4,7 @@
 // hand-built traces.
 #include <gtest/gtest.h>
 
+#include "counted_state.h"
 #include "spec/model_checker.h"
 #include "spec/simulator.h"
 #include "spec/trace_validator.h"
@@ -76,7 +77,7 @@ namespace
            fn(next);
            if (!(next == s))
            {
-             emit(next);
+             emit(std::move(next));
            }
          },
          1.0});
@@ -538,4 +539,94 @@ TEST(Stats, StatesPerMinute)
   stats.seconds = 60.0;
   EXPECT_DOUBLE_EQ(stats.states_per_minute(), 600.0);
   EXPECT_NE(stats.summary().find("generated=600"), std::string::npos);
+}
+
+// ---- Emit: the non-allocating successor callback (docs/SPEC.md "The Emit
+// contract") ----
+
+using scv::test::CountedState;
+
+TEST(Emit, RvalueEmitMakesNoCopy)
+{
+  std::vector<CountedState> got;
+  got.reserve(2);
+  const Emit<CountedState> emit = [&](CountedState&& s) {
+    got.push_back(std::move(s));
+  };
+  CountedState::reset_counts();
+  CountedState built{4};
+  emit(std::move(built));
+  emit(CountedState{5});
+  EXPECT_EQ(CountedState::copies, 0);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].value, 4);
+  EXPECT_EQ(got[1].value, 5);
+  EXPECT_EQ(built.value, -1); // handed over
+}
+
+TEST(Emit, LvalueEmitCopiesAndKeepsSource)
+{
+  std::vector<CountedState> got;
+  const Emit<CountedState> emit = [&](CountedState&& s) {
+    got.push_back(std::move(s));
+  };
+  CountedState::reset_counts();
+  const CountedState source{7};
+  emit(source);
+  EXPECT_EQ(CountedState::copies, 1);
+  EXPECT_EQ(source.value, 7);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].value, 7);
+}
+
+TEST(Emit, StoredFromTemporaryLambdaStaysCallable)
+{
+  int sum = 0;
+  int calls = 0;
+  // The lambda is a temporary: Emit must own its copy, not refer to it.
+  const Emit<CountedState> stored = [&](const CountedState& s) {
+    sum += s.value;
+    ++calls;
+  };
+  const Emit<CountedState> copied = stored;
+  stored(CountedState{2});
+  copied(CountedState{3});
+  stored(CountedState{5});
+  EXPECT_EQ(sum, 10);
+  EXPECT_EQ(calls, 3);
+}
+
+TEST(ModelChecker, SuccessorsReachTheStoreWithoutCopies)
+{
+  SpecDef<CountedState> def;
+  def.name = "counted";
+  def.init = {CountedState{0}};
+  def.actions.push_back(
+    {"Increment",
+     [](const CountedState& s, const Emit<CountedState>& emit) {
+       if (s.value < 200)
+       {
+         emit(CountedState{s.value + 1});
+       }
+     },
+     1.0});
+  def.actions.push_back(
+    {"Stay",
+     [](const CountedState& s, const Emit<CountedState>& emit) {
+       emit(CountedState{s.value});
+     },
+     1.0});
+  def.invariants.push_back(
+    {"NonNegative", [](const CountedState& s) { return s.value >= 0; }});
+  CountedState::reset_counts();
+  const int live_before = CountedState::live;
+  const auto result = model_check(def);
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(result.stats.distinct_states, 201u);
+  EXPECT_EQ(result.stats.duplicate_states, 201u);
+  // Only the initial state is copied into the store; every successor is
+  // moved in, and duplicates are dropped untouched.
+  EXPECT_EQ(CountedState::copies, 1);
+  // The store destroyed every body it built.
+  EXPECT_EQ(CountedState::live, live_before);
 }

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "counted_state.h"
 #include "driver/cluster.h"
 #include "spec/flat_fp_table.h"
 #include "spec/model_checker.h"
@@ -298,6 +299,114 @@ TEST(StoreModes, DropBodyRetiresFrontierBodies)
     full.insert(s, fingerprint(s), Store::no_parent, Store::init_action, 0);
   full.drop_body(fins.id);
   EXPECT_NE(full.record(fins.id).body, nullptr);
+}
+
+// ---- Body arena: rvalue admission and chunked per-worker storage ----
+
+TEST(BodyArena, DuplicateRvalueInsertLeavesStateUntouched)
+{
+  using test::CountedState;
+  using Store = ShardedStateStore<CountedState>;
+  for (const bool fp_mode : {false, true})
+  {
+    Store store(1, fp_mode ? fp_only() : StoreOptions{});
+    CountedState first{3};
+    const uint64_t fp = fingerprint(first);
+    CountedState::reset_counts();
+    const auto ins = store.insert(
+      std::move(first), fp, Store::no_parent, Store::init_action, 0);
+    ASSERT_TRUE(ins.inserted);
+    EXPECT_EQ(ins.body->value, 3);
+    EXPECT_EQ(first.value, -1) << "admitted body is moved in";
+    EXPECT_EQ(CountedState::copies, 0);
+
+    CountedState again{3};
+    const auto dup = store.insert(
+      std::move(again), fp, Store::no_parent, Store::init_action, 1);
+    EXPECT_FALSE(dup.inserted);
+    EXPECT_EQ(dup.id, ins.id);
+    EXPECT_EQ(again.value, 3) << "a duplicate is not moved from";
+    EXPECT_EQ(CountedState::copies, 0);
+  }
+}
+
+TEST(BodyArena, BodyPointersStayValidAcrossChunks)
+{
+  using Store = ShardedStateStore<CounterState>;
+  Store store(4);
+  store.reserve_arenas(2);
+  // Over two chunks per worker (1024 bodies each).
+  const int n = 5000;
+  std::vector<const CounterState*> bodies;
+  for (int i = 0; i < n; ++i)
+  {
+    CounterState s{i};
+    const uint64_t fp = fingerprint(s);
+    const auto ins = store.insert(
+      std::move(s),
+      fp,
+      Store::no_parent,
+      Store::init_action,
+      0,
+      0,
+      static_cast<unsigned>(i % 2));
+    ASSERT_TRUE(ins.inserted);
+    bodies.push_back(ins.body);
+  }
+  for (int i = 0; i < n; ++i)
+  {
+    EXPECT_EQ(bodies[static_cast<size_t>(i)]->value, i);
+  }
+  size_t seen = 0;
+  store.for_each([&](Store::Id, const Store::RecordView& r) {
+    ASSERT_NE(r.body, nullptr);
+    EXPECT_EQ(bodies[static_cast<size_t>(r.body->value)], r.body);
+    ++seen;
+  });
+  EXPECT_EQ(seen, static_cast<size_t>(n));
+}
+
+TEST(BodyArena, ReleaseAndClearDestroyEveryBody)
+{
+  using test::CountedState;
+  using Store = ShardedStateStore<CountedState>;
+  const int live_before = CountedState::live;
+  const auto fill = [](Store& store, int n) {
+    for (int i = 0; i < n; ++i)
+    {
+      const CountedState s{i};
+      (void)store.insert(
+        s,
+        fingerprint(s),
+        Store::no_parent,
+        Store::init_action,
+        0,
+        0,
+        static_cast<unsigned>(i % 2));
+    }
+  };
+  {
+    Store store(2);
+    store.reserve_arenas(2);
+    fill(store, 3000);
+    EXPECT_EQ(CountedState::live, live_before + 3000);
+    store.release_arena(0);
+    store.release_arena(1);
+    EXPECT_EQ(CountedState::live, live_before);
+  }
+  {
+    Store store(2);
+    store.reserve_arenas(2);
+    fill(store, 3000);
+    store.clear();
+    EXPECT_EQ(CountedState::live, live_before);
+    EXPECT_EQ(store.size(), 0u);
+    // The store is reusable after clear().
+    fill(store, 10);
+    EXPECT_EQ(store.size(), 10u);
+  }
+  // Destruction frees whatever is left.
+  EXPECT_EQ(CountedState::live, live_before);
 }
 
 TEST(StoreModes, OriginCountsAreWaitFreeAndSumToSize)

@@ -501,7 +501,7 @@ namespace
         {"Bump" + std::to_string(i), [i](const Pair& s, const Emit<Pair>& emit) {
            Pair next = s;
            next.slots[i]++;
-           emit(next);
+           emit(std::move(next));
          }});
     }
     def.constraint = [cap](const Pair& s) {
@@ -534,7 +534,7 @@ TEST(SymmetryFaults, ClosureGatesFaultSuccessorsNotBase)
     [](const Pair& s, const Emit<Pair>& emit) {
       Pair next = s;
       next.slots[0] = static_cast<uint8_t>(next.slots[0] + 3);
-      emit(next);
+      emit(std::move(next));
     },
     2);
 
@@ -571,7 +571,7 @@ TEST(SymmetryFaults, ClosureDedupsModuloSymmetry)
     {
       Pair next = s;
       next.slots[i]++;
-      emit(next);
+      emit(std::move(next));
     }
   };
   off.set_fault(fault, 1);

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -183,6 +184,8 @@ namespace scv::bench
     }
 
     /// Writes BENCH_<name>.json; prints the path so runs are discoverable.
+    /// Top-level keys of an existing file that this run does not write
+    /// (a committed trajectory, recorded measurements) are carried over.
     void write() const
     {
       scv::json::Object payload;
@@ -199,6 +202,27 @@ namespace scv::bench
         payload.emplace_back(key, value);
       }
       const std::string path = "BENCH_" + name_ + ".json";
+      if (std::ifstream in(path); in)
+      {
+        const std::string text(
+          (std::istreambuf_iterator<char>(in)),
+          std::istreambuf_iterator<char>());
+        const auto previous = scv::json::parse(text);
+        if (previous.has_value() && previous->is_object())
+        {
+          for (const auto& [key, value] : previous->as_object())
+          {
+            const bool written = std::any_of(
+              payload.begin(), payload.end(), [&](const auto& field) {
+                return field.first == key;
+              });
+            if (!written)
+            {
+              payload.emplace_back(key, value);
+            }
+          }
+        }
+      }
       std::ofstream out(path);
       out << scv::json::Value(payload).dump() << "\n";
       std::printf("wrote %s\n", path.c_str());

@@ -117,38 +117,6 @@ int main()
     report.add_run("parallel_bfs_validation", threads, r);
   }
 
-  // Work-stealing parallel DFS over ONE trace: workers push expanded
-  // subtrees to their own deque bottoms and steal from the top of a
-  // victim's when idle, sharing the (line, fingerprint) dead-end memo.
-  // This measures genuine single-validation speedup, not N copies of the
-  // same search racing each other (which an earlier version of this
-  // bench did — that only ever measured duplicated work).
-  std::printf("\nWork-stealing parallel DFS (faults/line=2):\n");
-  for (const unsigned threads : thread_sweep())
-  {
-    trace::ConsensusValidationOptions options;
-    options.search.mode = spec::SearchMode::Dfs;
-    options.search.max_faults_per_step = 2;
-    options.search.time_budget_seconds = 60.0;
-    options.search.threads = threads;
-    options.fault_composition = true;
-    Stopwatch sw;
-    const auto r = trace::validate_consensus_trace(c.trace(), params, options);
-    const double secs = sw.seconds();
-    std::printf(
-      "  threads=%-2u %10s %14llu states %9.3fs (%s states/s)"
-      " memo_hits=%llu steals=%llu\n",
-      threads,
-      r.ok ? "valid" : (secs >= 59.0 ? "TIMEOUT" : "invalid"),
-      static_cast<unsigned long long>(r.states_explored),
-      secs,
-      magnitude(
-        secs > 0 ? static_cast<double>(r.states_explored) / secs : 0.0)
-        .c_str(),
-      static_cast<unsigned long long>(r.stats.memo_hits),
-      static_cast<unsigned long long>(r.stats.steals));
-    report.add_run("workstealing_dfs_validation", threads, r);
-  }
   report.write();
 
   std::printf(

@@ -33,15 +33,6 @@ echo "=== tsan trace-validation smoke (threads=1) ==="
 echo "=== tsan trace-validation smoke (threads=4) ==="
 ./build-tsan/examples/trace_validate_demo --threads=4
 
-# Work-stealing DFS smoke: same pipeline, DFS engine only — threads=1
-# takes the sequential reference path, threads=4 runs the stealable-deque
-# search with the shared dead-end memo (racy deque or memo handling shows
-# up here).
-echo "=== tsan work-stealing dfs smoke (threads=1) ==="
-./build-tsan/examples/trace_validate_demo --mode=dfs --threads=1
-echo "=== tsan work-stealing dfs smoke (threads=4) ==="
-./build-tsan/examples/trace_validate_demo --mode=dfs --threads=4
-
 # Time-boxed campaign smoke: all three engines (checker -> simulator ->
 # trace validation) over ONE shared store and ONE wall-clock box on the
 # consensus spec. The demo exits non-zero unless all three phases ran and
@@ -103,19 +94,16 @@ echo "=== tsan nemesis smoke (seed 2026) ==="
 # shipped snapshot scenario families through scenario_runner, which both
 # executes them (join-from-snapshot under an active partition;
 # compact-then-crash-then-recover) and validates the collected traces
-# against the consensus spec. The TSan nemesis pass re-fuzzes the same
-# fixed seed with the snapshot motifs in the generator pool and the
-# trace validator's work-stealing DFS at threads=4, so a race between
-# the parallel search and the InstallSnapshot/CompactLedger bindings
-# fails CI.
+# against the consensus spec. The TSan nemesis pass fuzzes another fixed
+# seed with the snapshot motifs in the generator pool, so a race in the
+# driver's snapshot, InstallSnapshot and CompactLedger paths fails CI.
 echo "=== release snapshot scenario smoke (join + recovery families) ==="
 ./build-release/examples/scenario_runner \
   examples/scenarios/snapshot_join.scen \
   examples/scenarios/compaction_recovery.scen
-echo "=== tsan nemesis snapshot smoke (seed 2027, validate-threads=4) ==="
+echo "=== tsan nemesis snapshot smoke (seed 2027) ==="
 ./build-tsan/examples/nemesis_demo --seed=2027 --clean-runs=4 \
-  --seconds=120 --validate-threads=4 \
-  --scen-out=build-tsan/nemesis_snapshot_min.scen
+  --seconds=120 --scen-out=build-tsan/nemesis_snapshot_min.scen
 
 # SmallBank serving-layer smoke, fixed seed and short box: the open-loop
 # load harness drives client sessions (batching, TxStatus commit acks,

@@ -122,7 +122,6 @@ int main(int argc, char** argv)
   copts.total_seconds = seconds;
   copts.check.threads = threads;
   copts.sim.threads = threads;
-  copts.validate.threads = threads;
   copts.sim.seed = 7;
   copts.sim.max_depth = 60;
   // --store=fp runs the whole portfolio fingerprint-only: the shared

@@ -1,7 +1,7 @@
 // Nemesis demo: deterministic randomized fault injection end to end.
 //
 //   ./nemesis_demo [--seed=N] [--seconds=S] [--clean-runs=N]
-//                  [--bug-runs=N] [--scen-out=path] [--validate-threads=N]
+//                  [--bug-runs=N] [--scen-out=path]
 //
 // Three acts, each of which exits non-zero on failure:
 //
@@ -47,7 +47,6 @@ int main(int argc, char** argv)
   uint64_t clean_runs = 10;
   uint64_t bug_runs = 400;
   std::string scen_out = "nemesis_min.scen";
-  unsigned validate_threads = 1;
   for (int i = 1; i < argc; ++i)
   {
     if (std::strncmp(argv[i], "--seed=", 7) == 0)
@@ -70,11 +69,6 @@ int main(int argc, char** argv)
     {
       scen_out = argv[i] + 11;
     }
-    else if (std::strncmp(argv[i], "--validate-threads=", 19) == 0)
-    {
-      validate_threads =
-        static_cast<unsigned>(std::strtoul(argv[i] + 19, nullptr, 10));
-    }
     else
     {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
@@ -84,7 +78,6 @@ int main(int argc, char** argv)
 
   nemesis::NemesisOptions base;
   base.seed = seed;
-  base.validate_threads = validate_threads;
 
   // --- Act 1: determinism -------------------------------------------------
   std::printf("=== determinism (seed %llu) ===\n",

@@ -6,12 +6,10 @@
 //   ./trace_validate_demo [--mode=all|dfs|bfs] [--threads=N] [--prune]
 //                         [--max-diagnostics=K] [trace-output.jsonl]
 //
-// --threads selects the worker count (ValidationOptions::threads; 1 = the
-// sequential reference engine, 0 = hardware concurrency). It applies to
-// both engines: BFS splits each line's frontier across the fork-join
-// pool; DFS at threads > 1 runs the work-stealing search with the shared
-// dead-end memo. --mode narrows the run to one engine — CI smokes
-// `--mode=dfs` at threads 1 and 4 under ThreadSanitizer. --prune enables
+// --threads selects the BFS worker count (ValidationOptions::threads; 1 =
+// the sequential reference engine, 0 = hardware concurrency): BFS splits
+// each line's frontier across the fork-join pool. DFS always runs on one
+// worker and ignores it. --mode narrows the run to one engine. --prune enables
 // the store-backed BFS memory mode (frontier-only predecessor chains).
 // --max-diagnostics caps the candidate states kept for the
 // unsatisfied-state report (ValidationOptions::max_diagnostic_states).
@@ -109,8 +107,8 @@ int main(int argc, char** argv)
   }
 
   // 2. Validate: is this trace a behavior of the spec (T ∩ S ≠ ∅)?
-  //    DFS finds the single witness; BFS sweeps the full frontier with
-  //    the requested worker count (§6.4 compares the two).
+  //    DFS finds the single witness on one worker; BFS sweeps the full
+  //    frontier with the requested worker count (§6.4 compares the two).
   const auto params = trace::validation_params({1, 2, 3}, 1, 3);
   trace::ConsensusValidationOptions vopts;
   vopts.search.max_diagnostic_states = max_diagnostics;
@@ -120,17 +118,15 @@ int main(int argc, char** argv)
     const auto result =
       trace::validate_consensus_trace(c.trace(), params, vopts);
     std::printf(
-      "validation (DFS, threads=%u): %s — %zu/%zu lines matched, %llu states "
-      "explored, witness of %zu states, %.3fs (memo_hits=%llu steals=%llu)\n",
-      threads,
+      "validation (DFS): %s — %zu/%zu lines matched, %llu states explored, "
+      "witness of %zu states, %.3fs (memo_hits=%llu)\n",
       result.ok ? "VALID" : "INVALID",
       result.lines_matched,
       events.size(),
       static_cast<unsigned long long>(result.states_explored),
       result.witness.size(),
       result.stats.seconds,
-      static_cast<unsigned long long>(result.stats.memo_hits),
-      static_cast<unsigned long long>(result.stats.steals));
+      static_cast<unsigned long long>(result.stats.memo_hits));
     if (!result.ok)
     {
       return 1;

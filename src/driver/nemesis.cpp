@@ -643,7 +643,6 @@ namespace scv::driver::nemesis
     // Schedules use loss/duplication faults; compose IsFault steps.
     vopts.fault_composition = true;
     vopts.search.mode = spec::SearchMode::Dfs;
-    vopts.search.threads = options_.validate_threads;
     vopts.search.max_states = options_.validate_max_states;
     vopts.search.time_budget_seconds = seconds;
     const auto result = trace::validate_consensus_trace(raw, params, vopts);

@@ -22,8 +22,11 @@
 //     schedule replays by construction.
 //   * detect: an invariant violation at any `check` fails the run; every
 //     surviving run's trace is piped through the consensus trace
-//     validator (fuzz -> validate), so a run can fail either against the
-//     driver's invariants or against the spec.
+//     validator (fuzz -> validate; the one-worker DFS with fault
+//     composition), so a run can fail either against the driver's
+//     invariants or against the spec. A trace the validator cannot decide
+//     (state or time cap, or values beyond the spec's 8-bit domain) is
+//     counted inconclusive, never as a rejection.
 //   * shrink: a ddmin-style minimizer removes operation chunks (plus a
 //     tick-count trim pass) while the schedule still fails, producing a
 //     minimal replayable .scen counterexample.
@@ -110,11 +113,9 @@ namespace scv::driver::nemesis
     bool validate_traces = true;
     bool shrink = true;
     uint64_t max_shrink_iterations = 400;
-    /// Per-trace validation caps (DFS; validate_threads = 1 is the
-    /// sequential reference engine, > 1 the work-stealing search).
+    /// Per-trace validation caps (one-worker DFS).
     uint64_t validate_max_states = 200000;
     double validate_seconds = 10.0;
-    unsigned validate_threads = 1;
     /// Node template for the cluster under test (election timeouts,
     /// BugFlags, ...).
     consensus::NodeConfig node_template;
@@ -130,7 +131,8 @@ namespace scv::driver::nemesis
     uint64_t traces_validated = 0;
     /// Confirmed spec rejections (search exhausted, no witness).
     uint64_t traces_rejected = 0;
-    /// Validation runs cut short by their budget (no verdict).
+    /// Validation runs cut short by their budget, or given a trace beyond
+    /// the spec's 8-bit domain (no verdict).
     uint64_t traces_inconclusive = 0;
     uint64_t trace_events = 0;
     uint64_t shrink_iterations = 0;

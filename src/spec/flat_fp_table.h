@@ -1,5 +1,5 @@
-// Flat open-addressing fingerprint index shared by the sharded state
-// store's per-shard index and the StripedKeySet stripes.
+// Flat open-addressing fingerprint index: the sharded state store's
+// per-shard index.
 //
 // One table maps 64-bit fingerprints to 32-bit local record indices with
 // linear probing over a power-of-two slot array. Compared to the previous
@@ -21,8 +21,7 @@
 // probing must not rely on them (all fingerprints in one shard share those
 // bits).
 //
-// Not thread-safe: callers (store shards, key-set stripes) wrap each table
-// in their own mutex.
+// Not thread-safe: each store shard wraps its table in the shard mutex.
 #pragma once
 
 #include <cstddef>

@@ -79,77 +79,6 @@
 
 namespace scv::spec
 {
-  /// Lock-striped set of 64-bit keys — the store's striping pattern
-  /// without records, on the same flat open-addressing tables as the
-  /// store's index (no std::unordered_set node churn). Used where
-  /// parallel workers share a pure membership table rather than full
-  /// states: the work-stealing DFS trace validator's (line, fingerprint)
-  /// dead-end memo, where one worker's proven-dead subtree must prune
-  /// every other worker's search. Same contract as the store: insert()
-  /// and contains() may be called from any thread; stripe selection
-  /// mixes the high half of the key into the low bits.
-  class StripedKeySet
-  {
-  public:
-    explicit StripedKeySet(size_t stripe_count = 1)
-    {
-      size_t n = 1;
-      while (n < stripe_count)
-      {
-        n <<= 1;
-      }
-      mask_ = n - 1;
-      stripes_ = std::vector<Stripe>(n);
-    }
-
-    /// Inserts the key; returns true iff it was not already present.
-    bool insert(uint64_t key)
-    {
-      Stripe& stripe = stripes_[stripe_of(key)];
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      if (stripe.table.contains(key))
-      {
-        return false;
-      }
-      stripe.table.insert(key, 0);
-      return true;
-    }
-
-    [[nodiscard]] bool contains(uint64_t key) const
-    {
-      const Stripe& stripe = stripes_[stripe_of(key)];
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      return stripe.table.contains(key);
-    }
-
-    /// Exact when quiescent; a lower bound while writers run.
-    [[nodiscard]] size_t size() const
-    {
-      size_t total = 0;
-      for (const Stripe& stripe : stripes_)
-      {
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        total += stripe.table.size();
-      }
-      return total;
-    }
-
-  private:
-    struct Stripe
-    {
-      mutable std::mutex mu;
-      FlatFpTable table;
-    };
-
-    [[nodiscard]] size_t stripe_of(uint64_t key) const
-    {
-      return static_cast<size_t>((key ^ (key >> 32)) & mask_);
-    }
-
-    std::vector<Stripe> stripes_;
-    uint64_t mask_ = 0;
-  };
-
   template <SpecState S>
   class ShardedStateStore
   {

@@ -25,7 +25,7 @@ namespace scv::spec
     std::ostringstream os;
     os << "distinct=" << distinct_states << " generated=" << generated_states
        << " transitions=" << transitions << " duplicates=" << duplicate_states
-       << " memo_hits=" << memo_hits << " steals=" << steals;
+       << " memo_hits=" << memo_hits;
     if (seeded_states > 0)
     {
       // Campaign-only field; standalone summaries are unchanged.
@@ -58,7 +58,6 @@ namespace scv::spec
     transitions += other.transitions;
     duplicate_states += other.duplicate_states;
     memo_hits += other.memo_hits;
-    steals += other.steals;
     seeded_states += other.seeded_states;
     canonicalized_states += other.canonicalized_states;
     symmetry_hits += other.symmetry_hits;

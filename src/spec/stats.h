@@ -19,14 +19,11 @@ namespace scv::spec
     /// engines that insert every generated state.
     uint64_t duplicate_states = 0;
     /// DFS trace validation: dead-end memo lookups that pruned a whole
-    /// subtree (also counted in duplicate_states). In the work-stealing
-    /// parallel DFS these include prunes seeded by *other* workers'
-    /// proven-dead subtrees — the cross-worker sharing the shared memo
-    /// table buys.
+    /// subtree (also counted in duplicate_states).
     uint64_t memo_hits = 0;
-    /// Work-stealing engines: work items taken from another worker's
-    /// deque. Zero for sequential runs and for engines on the fork-join
-    /// pool.
+    /// Always 0: no engine steals work. The field stays because the
+    /// tracecheck benchmark harness (perfbench/harness/tracecheck.cpp)
+    /// reads it.
     uint64_t steals = 0;
     /// Campaign runs: states adopted from another engine's discoveries to
     /// start this run — frontier records seeding a checker BFS, or walk

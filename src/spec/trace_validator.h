@@ -19,14 +19,10 @@
 //  * DFS looks for a single witness behavior with memoized dead ends —
 //    "orders of magnitude faster", which is what made trace validation
 //    usable in CI. The search runs an explicit frame stack (no recursion),
-//    so production traces of any length cannot overflow the C stack. At
-//    threads > 1 the same search runs work-stealing: workers own deques of
-//    unexplored subtrees (work_stealing_pool.h), the (line, fingerprint)
-//    dead-end memo is a shared lock-striped StripedKeySet so one worker's
-//    proven-dead subtree prunes everyone, and the first witness wins via
-//    the Budget cooperative-stop flag. threads = 1 takes the sequential
-//    code path unchanged — bit-identical verdicts, witness, and
-//    diagnostics.
+//    so production traces of any length cannot overflow the C stack. It
+//    always runs on one worker, like TLC's -dfid: a witness search needs
+//    one path, so speculative sibling subtrees on other workers are wasted
+//    work. ValidationOptions::threads does not affect it.
 //
 // On failure there is no counterexample (§6.3) — instead the result carries
 // the paper's diagnostics: the deepest line matched, the candidate states
@@ -37,11 +33,9 @@
 // deadline arithmetic in this engine.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -51,7 +45,6 @@
 #include "spec/sharded_state_store.h"
 #include "spec/spec.h"
 #include "spec/stats.h"
-#include "spec/work_stealing_pool.h"
 #include "spec/worker_pool.h"
 
 namespace scv::spec
@@ -109,10 +102,8 @@ namespace scv::spec
     size_t max_faults_per_step = 0;
     uint64_t max_states = UINT64_MAX;
     // threads (inherited): BFS splits each line's frontier across the
-    // fork-join pool; DFS at threads > 1 runs a work-stealing search over
-    // independent subtrees with a shared dead-end memo (first witness
-    // wins — same verdict, possibly a different witness among equals).
-    // See docs/SPEC.md "threads semantics".
+    // fork-join pool; DFS always runs on one worker and ignores it. See
+    // docs/SPEC.md "threads semantics".
     /// BFS only: retain predecessor chains only for the live frontier
     /// (ROADMAP "store-backed BFS memory"). The sharded store is cleared
     /// after every line — it then holds one line's frontier instead of
@@ -177,13 +168,9 @@ namespace scv::spec
       {
         run_bfs();
       }
-      else if (resolve_worker_count(options_.threads) == 1)
-      {
-        run_dfs();
-      }
       else
       {
-        run_dfs_parallel();
+        run_dfs();
       }
       result_.seconds = budget_.elapsed();
       result_.stats.seconds = result_.seconds;
@@ -252,12 +239,11 @@ namespace scv::spec
     /// holds the shared_ptr to its parent) and overflow the C stack on
     /// ~100k-line traces — the exact failure mode the iterative DFS was
     /// built to avoid.
-    template <class Node>
-    static void release_chain(std::shared_ptr<Node>&& node)
+    static void release_chain(std::shared_ptr<PathNode>&& node)
     {
       while (node != nullptr && node.use_count() == 1)
       {
-        std::shared_ptr<Node> parent = std::move(node->parent);
+        std::shared_ptr<PathNode> parent = std::move(node->parent);
         node.reset();
         node = std::move(parent);
       }
@@ -663,299 +649,6 @@ namespace scv::spec
         });
       });
       return Enter::Entered;
-    }
-
-    // ---- DFS, threads > 1: work-stealing search over independent
-    // subtrees. Each worker's deque bottom is its DFS stack; idle workers
-    // steal the shallowest (largest) subtree from a victim's top. The
-    // dead-end memo is the shared StripedKeySet, so a subtree proven dead
-    // by one worker prunes every other worker's search, and the first
-    // witness wins through the Budget cooperative-stop flag. ----
-
-    /// A node of the parallel search tree: the state reached after
-    /// matching `line` lines, linked to the path that got there. Tasks
-    /// are the unit of stealing; the parent chain doubles as the witness
-    /// path and as the completion tree for dead-end detection.
-    struct Task
-    {
-      S state;
-      size_t line = 0;
-      std::shared_ptr<Task> parent;
-      /// Set by the expanding worker before any child is published; the
-      /// deque mutex orders it for whichever worker later resolves the
-      /// subtree.
-      uint64_t fp = 0;
-      /// Children whose subtrees are still unresolved. The worker that
-      /// fails the last one proves this node dead, memoizes it, and
-      /// propagates upward — the parallel analogue of the sequential
-      /// post-order memoization.
-      std::atomic<size_t> pending{0};
-    };
-    using TaskPtr = std::shared_ptr<Task>;
-
-    struct DfsShared
-    {
-      WorkStealingDeques<TaskPtr> deques;
-      StripedKeySet dead;
-      std::atomic<uint64_t> explored{0};
-      /// Root subtrees (one per initial state) not yet failed; at zero
-      /// the whole search space is exhausted.
-      std::atomic<size_t> roots_pending;
-      std::atomic<bool> done;
-      /// First-witness-wins cooperative stop (wired into the Budget).
-      std::atomic<bool> stop{false};
-      std::atomic<bool> witness_claimed{false};
-
-      DfsShared(unsigned workers, size_t stripes, size_t roots) :
-        deques(workers),
-        dead(stripes),
-        roots_pending(roots),
-        done(roots == 0)
-      {}
-    };
-
-    /// Per-worker slice, merged after the pool joins.
-    struct DfsLocal
-    {
-      size_t deepest_line = 0;
-      std::vector<S> deepest_frontier;
-      uint64_t distinct = 0;
-      uint64_t memo_hits = 0;
-      uint64_t steals = 0;
-      /// Only the worker that claimed the witness fills this.
-      std::vector<S> witness;
-    };
-
-    void run_dfs_parallel()
-    {
-      const WorkerPool pool(options_.threads);
-      DfsShared shared(
-        pool.size(), 4 * static_cast<size_t>(pool.size()), init_.size());
-      budget_.set_stop_flag(&shared.stop);
-
-      for (size_t i = 0; i < init_.size(); ++i)
-      {
-        auto root = std::make_shared<Task>();
-        root->state = init_[i];
-        shared.deques.push(
-          static_cast<unsigned>(i % pool.size()), std::move(root));
-      }
-
-      std::vector<DfsLocal> locals(pool.size());
-      pool.run([&](unsigned w) { dfs_worker(shared, w, locals[w]); });
-      // The stop flag dies with this frame; detach it before run() makes
-      // its final exhausted() check.
-      budget_.set_stop_flag(nullptr);
-
-      // Drain tasks abandoned by the early stop (witness or budget) so
-      // their parent chains are torn down iteratively.
-      TaskPtr leftover;
-      bool stole = false;
-      for (unsigned w = 0; w < pool.size(); ++w)
-      {
-        while (shared.deques.pop_or_steal(w, leftover, stole))
-        {
-          release_chain(std::move(leftover));
-        }
-      }
-
-      result_.states_explored =
-        shared.explored.load(std::memory_order_relaxed);
-      for (DfsLocal& local : locals)
-      {
-        result_.stats.distinct_states += local.distinct;
-        result_.stats.duplicate_states += local.memo_hits;
-        result_.stats.memo_hits += local.memo_hits;
-        result_.stats.steals += local.steals;
-        if (!local.witness.empty())
-        {
-          result_.ok = true;
-          result_.witness = std::move(local.witness);
-        }
-      }
-      if (result_.ok)
-      {
-        result_.lines_matched = lines_.size();
-        return;
-      }
-
-      // Merge the per-worker unsatisfied-breakpoint diagnostics: deepest
-      // line over all workers, candidates concatenated in worker order up
-      // to the configured cap.
-      size_t deepest = 0;
-      for (const DfsLocal& local : locals)
-      {
-        deepest = std::max(deepest, local.deepest_line);
-      }
-      for (DfsLocal& local : locals)
-      {
-        if (local.deepest_line != deepest)
-        {
-          continue;
-        }
-        for (S& s : local.deepest_frontier)
-        {
-          if (
-            result_.frontier_at_failure.size() <
-            options_.max_diagnostic_states)
-          {
-            result_.frontier_at_failure.push_back(std::move(s));
-          }
-        }
-      }
-      result_.lines_matched = deepest;
-      if (deepest < lines_.size())
-      {
-        result_.failed_line = lines_[deepest].description;
-      }
-    }
-
-    void dfs_worker(DfsShared& shared, unsigned w, DfsLocal& local)
-    {
-      for (;;)
-      {
-        if (
-          shared.stop.load(std::memory_order_acquire) ||
-          shared.done.load(std::memory_order_acquire))
-        {
-          return;
-        }
-        if (budget_.exhausted(
-              shared.explored.load(std::memory_order_relaxed)))
-        {
-          return;
-        }
-        TaskPtr task;
-        bool stole = false;
-        if (!shared.deques.pop_or_steal(w, task, stole))
-        {
-          // Empty everywhere but the search is not done: siblings are
-          // still expanding. Yield until work appears or the run ends.
-          std::this_thread::yield();
-          continue;
-        }
-        if (stole)
-        {
-          local.steals++;
-        }
-        dfs_process(shared, w, std::move(task), local);
-      }
-    }
-
-    /// The parallel counterpart of enter(): match/budget/memo checks,
-    /// diagnostics, expansion — publishing children instead of pushing a
-    /// frame.
-    void dfs_process(DfsShared& shared, unsigned w, TaskPtr task, DfsLocal& local)
-    {
-      if (task->line == lines_.size())
-      {
-        cover(task->state, task->line, w);
-        if (!shared.witness_claimed.exchange(
-              true, std::memory_order_acq_rel))
-        {
-          for (const Task* t = task.get(); t != nullptr;
-               t = t->parent.get())
-          {
-            local.witness.push_back(t->state);
-          }
-          std::reverse(local.witness.begin(), local.witness.end());
-          shared.stop.store(true, std::memory_order_release);
-        }
-        release_chain(std::move(task));
-        return;
-      }
-      if (budget_.exhausted(shared.explored.load(std::memory_order_relaxed)))
-      {
-        // Not a proven dead end — but once the budget is exhausted every
-        // path fails the same way, exactly like the sequential wind-down.
-        subtree_failed(shared, std::move(task), false);
-        return;
-      }
-      const uint64_t fp = expander_.fingerprint_of(task->state, w);
-      if (shared.dead.contains(key(task->line, fp)))
-      {
-        local.memo_hits++;
-        subtree_failed(shared, std::move(task), false);
-        return;
-      }
-      if (task->line > local.deepest_line)
-      {
-        local.deepest_line = task->line;
-        local.deepest_frontier.clear();
-      }
-      if (
-        task->line == local.deepest_line &&
-        local.deepest_frontier.size() < options_.max_diagnostic_states)
-      {
-        local.deepest_frontier.push_back(task->state);
-      }
-      local.distinct++;
-      cover(task->state, task->line, w);
-      task->fp = fp;
-      std::vector<S> successors;
-      expander_.with_faults(task->state, [&](const S& pre) {
-        lines_[task->line].expand(pre, [&](S&& succ) {
-          successors.push_back(std::move(succ));
-        });
-      });
-      shared.explored.fetch_add(
-        successors.size(), std::memory_order_relaxed);
-      if (successors.empty())
-      {
-        subtree_failed(shared, std::move(task), true);
-        return;
-      }
-      // pending must cover every child before the first one is published —
-      // a thief may fail a stolen child while we are still pushing.
-      task->pending.store(successors.size(), std::memory_order_relaxed);
-      // Push in reverse: pop_bottom is LIFO, so the owner descends into
-      // the first successor next (the sequential sibling order) while
-      // thieves take later siblings from the top.
-      for (size_t i = successors.size(); i-- > 0;)
-      {
-        auto child = std::make_shared<Task>();
-        child->state = std::move(successors[i]);
-        child->line = task->line + 1;
-        child->parent = task;
-        shared.deques.push(w, std::move(child));
-      }
-      release_chain(std::move(task));
-    }
-
-    /// Resolves a subtree that was exhausted without finding a witness.
-    /// `dead` is true when the exhaustion proves (line, fp) unsatisfiable
-    /// (no successors, or every child subtree failed) — those keys go into
-    /// the shared memo; budget cuts and memo hits do not re-memoize.
-    /// Walks up the completion tree: failing the last outstanding child of
-    /// a node proves that node dead in turn.
-    void subtree_failed(DfsShared& shared, TaskPtr task, bool dead)
-    {
-      for (;;)
-      {
-        if (dead)
-        {
-          shared.dead.insert(key(task->line, task->fp));
-        }
-        TaskPtr parent = task->parent;
-        release_chain(std::move(task));
-        if (parent == nullptr)
-        {
-          if (
-            shared.roots_pending.fetch_sub(1, std::memory_order_acq_rel) ==
-            1)
-          {
-            shared.done.store(true, std::memory_order_release);
-          }
-          return;
-        }
-        if (parent->pending.fetch_sub(1, std::memory_order_acq_rel) != 1)
-        {
-          release_chain(std::move(parent));
-          return;
-        }
-        task = std::move(parent);
-        dead = true;
-      }
     }
 
     std::vector<S> init_;

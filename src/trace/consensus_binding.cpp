@@ -1,5 +1,7 @@
 #include "trace/consensus_binding.h"
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "trace/preprocess.h"
@@ -712,6 +714,58 @@ namespace scv::trace
       }
       return std::nullopt;
     }
+
+    /// The spec keeps terms, log indices and its request counter in 8
+    /// bits, bounded by Params (validation_params sets each bound to its
+    /// 8-bit maximum). Names the first event of a preprocessed trace whose
+    /// values lie beyond those bounds, with the field and the bound, or
+    /// returns nullopt when the whole trace fits. Such a trace has no
+    /// verdict: the spec cannot represent it, let alone reject it.
+    std::optional<std::string> first_out_of_domain(
+      const std::vector<TraceEvent>& events, const Params& p)
+    {
+      uint64_t requests = 0;
+      for (size_t i = 0; i < events.size(); ++i)
+      {
+        const TraceEvent& e = events[i];
+        const auto beyond =
+          [&](const char* field, uint64_t value, uint64_t bound)
+          -> std::optional<std::string> {
+          if (value <= bound)
+          {
+            return std::nullopt;
+          }
+          std::ostringstream os;
+          os << "line " << i << " (" << describe(e) << "): " << field
+             << " = " << value << " exceeds the spec's bound " << bound;
+          return os.str();
+        };
+        // Clamped so that the sum cannot wrap; prev_idx is checked first.
+        const uint64_t window_end = e.prev_idx +
+          std::min<uint64_t>(e.n_entries, uint64_t{p.max_log_len} + 1);
+        if (e.kind == EventKind::ClientRequest)
+        {
+          ++requests;
+        }
+        for (const auto& why :
+             {beyond("term", e.term, p.max_term),
+              beyond("msg_term", e.msg_term, p.max_term),
+              beyond("prev_term", e.prev_term, p.max_term),
+              beyond("log_len", e.log_len, p.max_log_len),
+              beyond("commit_idx", e.commit_idx, p.max_log_len),
+              beyond("prev_idx", e.prev_idx, p.max_log_len),
+              beyond("last_idx", e.last_idx, p.max_log_len),
+              beyond("prev_idx + n_entries", window_end, p.max_log_len),
+              beyond("client requests", requests, p.max_requests)})
+        {
+          if (why.has_value())
+          {
+            return why;
+          }
+        }
+      }
+      return std::nullopt;
+    }
   }
 
   std::vector<TraceLineExpander<State>> bind_consensus_trace(
@@ -740,6 +794,15 @@ namespace scv::trace
     ConsensusValidationOptions options)
   {
     const auto events = preprocess(raw_events);
+    if (auto why = first_out_of_domain(events, params))
+    {
+      // Inconclusive, never a rejection: ok = false with the search
+      // reported incomplete, as when a budget runs out.
+      spec::ValidationResult<State> result;
+      result.failed_line = std::move(*why);
+      result.stats.complete = false;
+      return result;
+    }
     spec::ValidationOptions search = options.search;
     if (options.fault_composition && search.max_faults_per_step == 0)
     {

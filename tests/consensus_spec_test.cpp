@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "spec/model_checker.h"
 #include "spec/simulator.h"
@@ -769,14 +771,20 @@ namespace
   }
 
   /// Every state reachable under the constraint, deduplicated by its
-  /// oracle bytes (no fingerprint involved).
+  /// oracle bytes (no fingerprint involved). The encodings are keyed as
+  /// std::string: GCC 12 reports a false -Wstringop-overread inside the
+  /// ordering of std::vector<uint8_t> keys.
   std::vector<State> all_reachable(const SpecDef<State>& spec)
   {
-    std::set<std::vector<uint8_t>> seen;
+    std::set<std::string> seen;
+    const auto first_visit = [&](const State& s) {
+      const std::vector<uint8_t> bytes = oracle_bytes(s);
+      return seen.emplace(bytes.begin(), bytes.end()).second;
+    };
     std::vector<State> states;
     for (const State& init : spec.init)
     {
-      if (seen.insert(oracle_bytes(init)).second)
+      if (first_visit(init))
       {
         states.push_back(init);
       }
@@ -791,7 +799,7 @@ namespace
       for (const auto& action : spec.actions)
       {
         action.expand(s, [&](const State& next) {
-          if (seen.insert(oracle_bytes(next)).second)
+          if (first_visit(next))
           {
             states.push_back(next);
           }

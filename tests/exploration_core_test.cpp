@@ -14,7 +14,6 @@
 #include "spec/model_checker.h"
 #include "spec/simulator.h"
 #include "spec/trace_validator.h"
-#include "spec/work_stealing_pool.h"
 #include "spec/worker_pool.h"
 
 using namespace scv;
@@ -156,111 +155,6 @@ TEST(WorkerPool, SingleWorkerRunsInline)
     EXPECT_EQ(w, 0u);
     EXPECT_EQ(std::this_thread::get_id(), caller);
   });
-}
-
-// ---- Work-stealing deques ----
-
-TEST(WorkStealing, OwnerIsLifoThiefIsFifo)
-{
-  StealableDeque<int> deque;
-  deque.push_bottom(1);
-  deque.push_bottom(2);
-  deque.push_bottom(3);
-  int got = 0;
-  ASSERT_TRUE(deque.pop_bottom(got));
-  EXPECT_EQ(got, 3); // the owner's DFS stack: newest first
-  ASSERT_TRUE(deque.steal_top(got));
-  EXPECT_EQ(got, 1); // thieves take the oldest (largest subtree)
-  ASSERT_TRUE(deque.pop_bottom(got));
-  EXPECT_EQ(got, 2);
-  EXPECT_FALSE(deque.pop_bottom(got));
-  EXPECT_FALSE(deque.steal_top(got));
-}
-
-TEST(WorkStealing, PopPrefersOwnDequeThenStealsRoundRobin)
-{
-  WorkStealingDeques<int> deques(3);
-  deques.push(0, 10);
-  deques.push(2, 30);
-  int got = 0;
-  bool stole = false;
-  // Worker 0 drains its own deque first.
-  ASSERT_TRUE(deques.pop_or_steal(0, got, stole));
-  EXPECT_EQ(got, 10);
-  EXPECT_FALSE(stole);
-  // Then steals from the next non-empty victim.
-  ASSERT_TRUE(deques.pop_or_steal(0, got, stole));
-  EXPECT_EQ(got, 30);
-  EXPECT_TRUE(stole);
-  EXPECT_FALSE(deques.pop_or_steal(0, got, stole));
-}
-
-TEST(WorkStealing, ConcurrentOwnersAndThievesLoseNothing)
-{
-  // 4 workers push disjoint ranges and drain the union via pop_or_steal;
-  // every item must surface exactly once.
-  constexpr unsigned workers = 4;
-  constexpr unsigned per_worker = 500;
-  WorkStealingDeques<int> deques(workers);
-  std::atomic<unsigned> drained{0};
-  std::atomic<uint64_t> sum{0};
-  const WorkerPool pool(workers);
-  pool.run([&](unsigned w) {
-    for (unsigned i = 0; i < per_worker; ++i)
-    {
-      deques.push(w, static_cast<int>(w * per_worker + i));
-    }
-    int got = 0;
-    bool stole = false;
-    while (drained.load() < workers * per_worker)
-    {
-      if (deques.pop_or_steal(w, got, stole))
-      {
-        sum.fetch_add(static_cast<uint64_t>(got));
-        drained.fetch_add(1);
-      }
-      else
-      {
-        std::this_thread::yield();
-      }
-    }
-  });
-  EXPECT_EQ(drained.load(), workers * per_worker);
-  const uint64_t n = workers * per_worker;
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
-
-// ---- Striped key set (the shared dead-end memo) ----
-
-TEST(StripedKeySet, InsertAndContains)
-{
-  StripedKeySet set(8);
-  EXPECT_FALSE(set.contains(42));
-  EXPECT_TRUE(set.insert(42));
-  EXPECT_FALSE(set.insert(42));
-  EXPECT_TRUE(set.contains(42));
-  // Keys differing only in the high half land on different stripes and
-  // must still be distinct entries.
-  EXPECT_TRUE(set.insert(uint64_t{42} << 32));
-  EXPECT_EQ(set.size(), 2u);
-}
-
-TEST(StripedKeySet, ConcurrentInsertsDeduplicate)
-{
-  StripedKeySet set(8);
-  std::atomic<uint64_t> fresh{0};
-  const WorkerPool pool(4);
-  pool.run([&](unsigned) {
-    for (uint64_t k = 0; k < 1000; ++k)
-    {
-      if (set.insert(k))
-      {
-        fresh.fetch_add(1);
-      }
-    }
-  });
-  EXPECT_EQ(fresh.load(), 1000u); // each key admitted exactly once
-  EXPECT_EQ(set.size(), 1000u);
 }
 
 // ---- Expander fault composition (duplicate-emission fix) ----
@@ -536,7 +430,11 @@ TEST(TraceValidatorCore, DiagnosticStatesRespectConfiguredCap)
   EXPECT_EQ(large.frontier_at_failure.size(), 5u);
 }
 
-// ---- Work-stealing parallel DFS ----
+// ---- DFS at threads > 1: the same one-worker search ----
+//
+// The DFS ignores ValidationOptions::threads. Asked for several workers,
+// it must reproduce the threads = 1 run exactly: verdict, work counts,
+// memo hits, witness and diagnostics.
 
 namespace
 {
@@ -565,6 +463,22 @@ namespace
       EXPECT_TRUE(step == 1 || step == 2) << "disconnected at step " << i;
     }
   }
+
+  void expect_same_search(
+    const ValidationResult<CounterState>& a,
+    const ValidationResult<CounterState>& b)
+  {
+    EXPECT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.lines_matched, b.lines_matched);
+    EXPECT_EQ(a.states_explored, b.states_explored);
+    EXPECT_EQ(a.stats.distinct_states, b.stats.distinct_states);
+    EXPECT_EQ(a.stats.duplicate_states, b.stats.duplicate_states);
+    EXPECT_EQ(a.stats.memo_hits, b.stats.memo_hits);
+    EXPECT_EQ(a.stats.complete, b.stats.complete);
+    EXPECT_EQ(a.witness, b.witness);
+    EXPECT_EQ(a.failed_line, b.failed_line);
+    EXPECT_EQ(a.frontier_at_failure, b.frontier_at_failure);
+  }
 }
 
 TEST(ParallelDfs, MatchesSequentialOnValidTrace)
@@ -576,21 +490,18 @@ TEST(ParallelDfs, MatchesSequentialOnValidTrace)
   }
   const auto seq = run_dfs(lines, 1);
   ASSERT_TRUE(seq.ok);
+  expect_fuzzy_witness(seq, lines.size());
   for (const unsigned threads : {2u, 4u})
   {
-    const auto par = run_dfs(lines, threads);
-    EXPECT_TRUE(par.ok) << "threads=" << threads;
-    EXPECT_EQ(par.lines_matched, seq.lines_matched);
-    expect_fuzzy_witness(par, lines.size());
-    EXPECT_EQ(par.stats.complete, seq.stats.complete);
+    SCOPED_TRACE(threads);
+    expect_same_search(run_dfs(lines, threads), seq);
   }
 }
 
 TEST(ParallelDfs, MatchesSequentialOnInvalidTrace)
 {
   // Wide branching, then an impossible line: every subtree is explored
-  // and proven dead, so verdict, deepest line, and failing line must all
-  // match the sequential search.
+  // and proven dead before the rejection.
   std::vector<TraceLineExpander<CounterState>> lines;
   for (int i = 0; i < 8; ++i)
   {
@@ -599,14 +510,13 @@ TEST(ParallelDfs, MatchesSequentialOnInvalidTrace)
   lines.push_back(impossible_line());
   const auto seq = run_dfs(lines, 1);
   ASSERT_FALSE(seq.ok);
+  EXPECT_TRUE(seq.stats.complete);
+  EXPECT_FALSE(seq.frontier_at_failure.empty());
+  EXPECT_LE(seq.frontier_at_failure.size(), 8u); // max_diagnostic_states
   for (const unsigned threads : {2u, 4u})
   {
-    const auto par = run_dfs(lines, threads);
-    EXPECT_FALSE(par.ok) << "threads=" << threads;
-    EXPECT_EQ(par.lines_matched, seq.lines_matched);
-    EXPECT_EQ(par.failed_line, seq.failed_line);
-    EXPECT_FALSE(par.frontier_at_failure.empty());
-    EXPECT_LE(par.frontier_at_failure.size(), 8u); // max_diagnostic_states
+    SCOPED_TRACE(threads);
+    expect_same_search(run_dfs(lines, threads), seq);
   }
 }
 
@@ -617,22 +527,25 @@ TEST(ParallelDfs, StopsCleanlyAtStateCap)
   {
     lines.push_back(fuzzy_line(i));
   }
+  const auto seq = run_dfs(lines, 1, 3);
   for (const unsigned threads : {2u, 4u})
   {
+    SCOPED_TRACE(threads);
     const auto r = run_dfs(lines, threads, 3);
-    EXPECT_FALSE(r.ok) << "threads=" << threads;
+    EXPECT_FALSE(r.ok);
     EXPECT_FALSE(r.stats.complete);
     EXPECT_LT(r.lines_matched, 50u);
     EXPECT_GE(r.states_explored, 3u);
+    expect_same_search(r, seq);
   }
 }
 
 TEST(ParallelDfs, SharedMemoPrunesAcrossWorkers)
 {
   // 16 fuzzy lines reconverge massively (2^16 paths over ~500 distinct
-  // (line, value) nodes) and the final line kills them all: the shared
-  // dead-end memo must absorb the reconvergence — with it, the search
-  // enters each distinct node roughly once instead of once per path.
+  // (line, value) nodes) and the final line kills them all: the dead-end
+  // memo must absorb the reconvergence, so the search enters each
+  // distinct node once instead of once per path — at any thread count.
   std::vector<TraceLineExpander<CounterState>> lines;
   for (int i = 0; i < 16; ++i)
   {
@@ -641,23 +554,17 @@ TEST(ParallelDfs, SharedMemoPrunesAcrossWorkers)
   lines.push_back(impossible_line());
   const auto seq = run_dfs(lines, 1);
   ASSERT_FALSE(seq.ok);
-  ASSERT_GT(seq.stats.memo_hits, 0u);
-  const auto par = run_dfs(lines, 4);
-  EXPECT_FALSE(par.ok);
-  EXPECT_EQ(par.lines_matched, seq.lines_matched);
-  EXPECT_GT(par.stats.memo_hits, 0u);
-  // Without memoization the search would enter one node per path prefix
-  // (>> 2^16); concurrent duplicate entries are possible but bounded.
-  EXPECT_LT(par.stats.distinct_states, 1u << 14);
-  // The memo hits are also counted as duplicates, matching sequential.
-  EXPECT_EQ(par.stats.duplicate_states, par.stats.memo_hits);
+  EXPECT_GT(seq.stats.memo_hits, 0u);
+  EXPECT_LT(seq.stats.distinct_states, 1u << 14);
+  // The memo hits are also counted as duplicates.
+  EXPECT_EQ(seq.stats.duplicate_states, seq.stats.memo_hits);
+  expect_same_search(run_dfs(lines, 4), seq);
 }
 
 TEST(ParallelDfs, HandlesVeryDeepTraces)
 {
-  // The 100k-line chain at threads=4: exercises the iterative parent-
-  // chain teardown (a recursive shared_ptr release would overflow the C
-  // stack) and the witness walk on a maximally deep task tree.
+  // The 100k-line chain at threads=4: still the iterative frame stack, so
+  // no C-stack overflow, and the full witness comes back.
   constexpr int depth = 100'000;
   std::vector<TraceLineExpander<CounterState>> lines;
   lines.reserve(depth);

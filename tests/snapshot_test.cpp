@@ -607,8 +607,8 @@ TEST(SnapshotTraceValidation, CompactCrashRestartValidatesAtBothThreadCounts)
   c.restart(JoinSpec(*leader));
   ASSERT_TRUE(converged(c, {1, 2, 3}, c.node(nl).commit_index()));
 
-  // Identical verdicts from the sequential reference search and the
-  // parallel one.
+  // The DFS runs on one worker whatever threads says, so threads = 4
+  // reproduces the threads = 1 run exactly.
   const auto params = trace::validation_params({1, 2, 3}, 1, 3);
   trace::ConsensusValidationOptions seq;
   seq.search.threads = 1;
@@ -625,6 +625,8 @@ TEST(SnapshotTraceValidation, CompactCrashRestartValidatesAtBothThreadCounts)
   EXPECT_GT(r1.lines_matched, 50u);
   EXPECT_EQ(r1.ok, r4.ok);
   EXPECT_EQ(r1.lines_matched, r4.lines_matched);
+  EXPECT_EQ(r1.states_explored, r4.states_explored);
+  EXPECT_EQ(r1.witness, r4.witness);
 }
 
 TEST(SnapshotSymmetry, SnapshotModelAgreesUnderSymmetryReduction)

@@ -177,41 +177,6 @@ TEST(FlatFpTable, ClearEmptiesWithoutShrinking)
   EXPECT_TRUE(table.contains(1));
 }
 
-// ---- StripedKeySet on the flat tables ----
-
-TEST(StripedKeySet, ConcurrentInsertDedups)
-{
-  StripedKeySet set(8);
-  constexpr size_t per_thread = 20'000;
-  constexpr unsigned n_threads = 4;
-  std::vector<std::thread> threads;
-  std::atomic<uint64_t> fresh{0};
-  for (unsigned t = 0; t < n_threads; ++t)
-  {
-    threads.emplace_back([&set, &fresh, t] {
-      uint64_t mine = 0;
-      for (size_t i = 0; i < per_thread; ++i)
-      {
-        // Overlapping ranges: every key is attempted by two threads.
-        const uint64_t key = (t / 2) * per_thread + i + 1;
-        if (set.insert(key))
-        {
-          mine++;
-        }
-      }
-      fresh.fetch_add(mine, std::memory_order_relaxed);
-    });
-  }
-  for (auto& th : threads)
-  {
-    th.join();
-  }
-  EXPECT_EQ(fresh.load(), 2 * per_thread);
-  EXPECT_EQ(set.size(), 2 * per_thread);
-  EXPECT_TRUE(set.contains(1));
-  EXPECT_FALSE(set.contains(0));
-}
-
 // ---- Store modes: dedup semantics and collision chains ----
 
 TEST(StoreModes, FullModeDedupsByStateOnFingerprintCollision)

@@ -236,10 +236,11 @@ TEST(TraceValidation, ParallelBfsMatchesSequentialOnConsensusTrace)
 
 TEST(TraceValidation, ParallelDfsMatchesSequentialOnConsensusTrace)
 {
-  // An election trace (nondeterministic branching) validated by the
-  // work-stealing DFS at 1, 2 and 4 workers: identical verdict, and in
-  // each case the returned witness is a real behavior of the spec —
-  // every step is replayed through the bound trace-line expanders.
+  // An election trace (nondeterministic branching) validated by the DFS
+  // with threads set to 1, 2 and 4. The DFS runs on one worker whatever
+  // threads says, so every run returns the same witness, and it is a
+  // real behavior of the spec: every step is replayed through the bound
+  // trace-line expanders.
   Cluster c(three_nodes(103));
   c.submit("pre");
   c.sign();
@@ -258,6 +259,7 @@ TEST(TraceValidation, ParallelDfsMatchesSequentialOnConsensusTrace)
   const auto p = params_for(three_nodes(103), 3);
   const auto lines = bind_consensus_trace(preprocess(c.trace()), p);
 
+  std::vector<specs::ccfraft::State> first_witness;
   for (const unsigned threads : {1u, 2u, 4u})
   {
     ConsensusValidationOptions dfs;
@@ -266,6 +268,11 @@ TEST(TraceValidation, ParallelDfsMatchesSequentialOnConsensusTrace)
     const auto r = validate_consensus_trace(c.trace(), p, dfs);
     ASSERT_TRUE(r.ok) << "threads=" << threads << "\n" << diagnose(r);
     ASSERT_EQ(r.witness.size(), lines.size() + 1);
+    if (threads == 1)
+    {
+      first_witness = r.witness;
+    }
+    EXPECT_EQ(r.witness, first_witness) << "threads=" << threads;
     for (size_t i = 0; i < lines.size(); ++i)
     {
       const uint64_t want = spec::fingerprint(r.witness[i + 1]);
@@ -282,9 +289,9 @@ TEST(TraceValidation, ParallelDfsMatchesSequentialOnConsensusTrace)
 
 TEST(TraceValidation, ParallelDfsRejectsCorruptedConsensusTrace)
 {
-  // The corrupted trace from CorruptedCommitIndexRejected, at every
-  // worker count: the deepest-line diagnostics must match the
-  // sequential search (every subtree is exhausted before rejection).
+  // The corrupted trace from CorruptedCommitIndexRejected, with threads
+  // set to 1, 2 and 4: the DFS ignores threads, so the rejection and its
+  // deepest-line diagnostics are the same each time.
   Cluster c(three_nodes(115));
   c.submit("x");
   c.sign();
@@ -318,6 +325,8 @@ TEST(TraceValidation, ParallelDfsRejectsCorruptedConsensusTrace)
     EXPECT_FALSE(par.ok) << "threads=" << threads;
     EXPECT_EQ(par.lines_matched, seq.lines_matched);
     EXPECT_EQ(par.failed_line, seq.failed_line);
+    EXPECT_EQ(par.states_explored, seq.states_explored);
+    EXPECT_EQ(par.frontier_at_failure, seq.frontier_at_failure);
     EXPECT_FALSE(par.frontier_at_failure.empty());
   }
 }
@@ -341,6 +350,46 @@ TEST(TraceValidation, ParallelDfsStopsCleanlyAtBudget)
   EXPECT_FALSE(r.ok);
   EXPECT_FALSE(r.stats.complete);
   EXPECT_LT(r.lines_matched, preprocess(c.trace()).size());
+}
+
+TEST(TraceValidation, AppendEntriesBeyondSpecDomainIsInconclusive)
+{
+  // An AppendEntries window ending past log index 255 cannot be
+  // represented in the spec's 8-bit indices: no verdict, not a
+  // rejection, whichever search runs.
+  Cluster c(three_nodes(101));
+  c.submit("hello");
+  c.sign();
+  for (int i = 0; i < 40; ++i)
+  {
+    c.tick_all();
+    c.drain();
+  }
+  auto events = c.trace();
+  TraceEvent ae;
+  ae.kind = EventKind::SendAppendEntries;
+  ae.node = 1;
+  ae.peer = 2;
+  ae.term = 1;
+  ae.log_len = 3;
+  ae.msg_term = 1;
+  ae.prev_idx = 250;
+  ae.n_entries = 10;
+  events.push_back(ae);
+  for (const auto mode : {spec::SearchMode::Dfs, spec::SearchMode::Bfs})
+  {
+    ConsensusValidationOptions options;
+    options.search.mode = mode;
+    const auto r = validate_consensus_trace(
+      events, params_for(three_nodes(101), 3), options);
+    EXPECT_FALSE(r.ok);
+    EXPECT_FALSE(r.stats.complete);
+    EXPECT_NE(
+      r.failed_line.find("prev_idx + n_entries = 260 exceeds the spec's "
+                         "bound 255"),
+      std::string::npos)
+      << r.failed_line;
+  }
 }
 
 TEST(TraceValidation, PrunedBfsMatchesPlainBfsOnConsensusTrace)
@@ -500,9 +549,8 @@ TEST(TraceValidation, FaultCompositionBridgesDuplicates)
 
 TEST(TraceValidation, ParallelDfsBridgesDuplicatesWithFaultComposition)
 {
-  // Fault composition (IsFault · Next) under the work-stealing search:
-  // the duplicate-delivery trace validates at 4 workers exactly as it
-  // does sequentially.
+  // Fault composition (IsFault · Next) with threads = 4: the DFS still
+  // runs on one worker, and the duplicate-delivery trace validates.
   const auto events = run_duplicate_delivery({});
   const auto p = params_for(three_nodes(119), 3);
 

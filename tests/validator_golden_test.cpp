@@ -1,11 +1,12 @@
 // Golden equivalence for the trace validator's one-worker DFS. Each case
 // validates a consensus trace with fault composition (drop/duplicate
-// before every line) at threads = 1 and pins everything the search
-// reports: verdict, lines matched, states explored, distinct states,
-// duplicates and memo hits, the witness and, for rejected traces, the
-// failed line and the diagnostic frontier. States are pinned as FNV-1a of
-// their serialized bytes, folded in order into one chain digest per
-// sequence (the first difference anywhere changes it), so the pins say
+// before every line) and pins everything the search reports: verdict,
+// lines matched, states explored, distinct states, duplicates and memo
+// hits, the witness and, for rejected traces, the failed line and the
+// diagnostic frontier. Every case runs at threads = 1 and threads = 4 and
+// must hit the same pins: the DFS ignores threads. States are pinned as
+// FNV-1a of their serialized bytes, folded in order into one chain digest
+// per sequence (the first difference anywhere changes it), so the pins say
 // nothing about the fingerprint the engines dedup with.
 //
 // The traces cover a happy path, an election, a duplicated delivery that
@@ -13,6 +14,9 @@
 // run that hits the state cap (no verdict; the diagnostics are pinned),
 // and a forged election that the search rejects after exhausting every
 // fault interleaving of the prefix before it.
+//
+// BFS cases (no fault composition, threads = 1) pin the verdict, lines
+// matched, distinct states, per-line frontier sizes and the witness.
 #include <gtest/gtest.h>
 
 #include "driver/cluster.h"
@@ -89,19 +93,6 @@ namespace
     uint64_t frontier_hash;
   };
 
-  spec::ValidationResult<State> validate_dfs(
-    const std::vector<TraceEvent>& events,
-    const specs::ccfraft::Params& params,
-    uint64_t max_states = UINT64_MAX)
-  {
-    ConsensusValidationOptions o;
-    o.fault_composition = true;
-    o.search.mode = spec::SearchMode::Dfs;
-    o.search.threads = 1;
-    o.search.max_states = max_states;
-    return validate_consensus_trace(events, params, o);
-  }
-
   void expect_golden(
     const spec::ValidationResult<State>& r, const Golden& g)
   {
@@ -116,6 +107,76 @@ namespace
     EXPECT_EQ(r.failed_line, g.failed_line);
     EXPECT_EQ(r.frontier_at_failure.size(), g.frontier_size);
     EXPECT_EQ(chain_hash(r.frontier_at_failure), g.frontier_hash);
+  }
+
+  /// Validates at threads = 1 and threads = 4; both runs must hit `g`.
+  void expect_dfs_golden(
+    const std::vector<TraceEvent>& events,
+    const specs::ccfraft::Params& params,
+    const Golden& g,
+    uint64_t max_states = UINT64_MAX)
+  {
+    for (const unsigned threads : {1u, 4u})
+    {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads);
+      ConsensusValidationOptions o;
+      o.fault_composition = true;
+      o.search.mode = spec::SearchMode::Dfs;
+      o.search.threads = threads;
+      o.search.max_states = max_states;
+      expect_golden(validate_consensus_trace(events, params, o), g);
+    }
+  }
+
+  struct BfsGolden
+  {
+    bool ok;
+    size_t lines_matched;
+    uint64_t distinct;
+    size_t lines_expanded;
+    size_t frontier_total;
+    uint64_t frontier_hash;
+    size_t witness_size;
+    uint64_t witness_hash;
+    const char* failed_line;
+  };
+
+  /// FNV-1a of the per-line BFS frontier sizes, folded in order.
+  uint64_t sizes_hash(const std::vector<size_t>& sizes)
+  {
+    uint64_t h = fnv1a_init;
+    for (const size_t n : sizes)
+    {
+      const uint64_t v = n;
+      h = fnv1a(reinterpret_cast<const uint8_t*>(&v), sizeof(v), h);
+    }
+    return h;
+  }
+
+  /// BFS at threads = 1 with no fault composition.
+  void expect_bfs_golden(
+    const std::vector<TraceEvent>& events,
+    const specs::ccfraft::Params& params,
+    const BfsGolden& g)
+  {
+    ConsensusValidationOptions o;
+    o.search.mode = spec::SearchMode::Bfs;
+    o.search.threads = 1;
+    const auto r = validate_consensus_trace(events, params, o);
+    size_t total = 0;
+    for (const size_t n : r.frontier_sizes)
+    {
+      total += n;
+    }
+    EXPECT_EQ(r.ok, g.ok);
+    EXPECT_EQ(r.lines_matched, g.lines_matched);
+    EXPECT_EQ(r.stats.distinct_states, g.distinct);
+    EXPECT_EQ(r.frontier_sizes.size(), g.lines_expanded);
+    EXPECT_EQ(total, g.frontier_total);
+    EXPECT_EQ(sizes_hash(r.frontier_sizes), g.frontier_hash);
+    EXPECT_EQ(r.witness.size(), g.witness_size);
+    EXPECT_EQ(chain_hash(r.witness), g.witness_hash);
+    EXPECT_EQ(r.failed_line, g.failed_line);
   }
 
   std::vector<TraceEvent> happy_path_trace()
@@ -167,8 +228,8 @@ namespace
   }
 
   /// Four nodes, random load, forced elections, a reconfiguration and a
-  /// crash over 900 steps.
-  std::vector<TraceEvent> chaotic_trace()
+  /// crash over `steps` steps.
+  std::vector<TraceEvent> chaotic_trace(int steps = 900)
   {
     ClusterOptions o;
     o.initial_config = {1, 2, 3, 4};
@@ -177,7 +238,7 @@ namespace
     Cluster c(o);
     Rng rng(131 * 271);
     bool crashed_one = false;
-    for (int step = 0; step < 900; ++step)
+    for (int step = 0; step < steps; ++step)
     {
       c.tick_all();
       c.drain(rng.below(5));
@@ -245,30 +306,33 @@ namespace
 
 TEST(ValidatorGolden, HappyPath)
 {
-  expect_golden(
-    validate_dfs(happy_path_trace(), three_node_params()),
+  expect_dfs_golden(
+    happy_path_trace(),
+    three_node_params(),
     {true, 129, 428, 129, 0, 0, 130, 0x82d629cb60d92ef1ULL, "", 0, no_states});
 }
 
 TEST(ValidatorGolden, Election)
 {
-  expect_golden(
-    validate_dfs(election_trace(), three_node_params()),
+  expect_dfs_golden(
+    election_trace(),
+    three_node_params(),
     {true, 229, 1262, 229, 0, 0, 230, 0x3b28955215055628ULL, "", 0, no_states});
 }
 
 TEST(ValidatorGolden, DuplicateDeliveryBridgedByFaults)
 {
-  expect_golden(
-    validate_dfs(duplicate_delivery_trace(), three_node_params()),
+  expect_dfs_golden(
+    duplicate_delivery_trace(),
+    three_node_params(),
     {true, 12, 1730, 714, 952, 952, 13, 0x5f9258ef22018715ULL, "", 0, no_states});
 }
 
 TEST(ValidatorGolden, LongChaoticRun)
 {
-  expect_golden(
-    validate_dfs(
-      chaotic_trace(), validation_params({1, 2, 3, 4}, 1, 4), 20000),
+  expect_dfs_golden(
+    chaotic_trace(),
+    validation_params({1, 2, 3, 4}, 1, 4),
     {false,
      510,
      20022,
@@ -279,15 +343,18 @@ TEST(ValidatorGolden, LongChaoticRun)
      no_states,
      "sndRV node=2 peer=3 term=10 len=15 commit=7 msg_term=10",
      1,
-     0xa650ddb76bb32d28ULL});
+     0xa650ddb76bb32d28ULL},
+    20000);
 }
 
 TEST(ValidatorGolden, NemesisRun)
 {
   const auto [events, params] = nemesis_trace();
-  expect_golden(
-    validate_dfs(events, params, 20000),
-    {true, 215, 1196, 215, 0, 0, 216, 0x359edb624d036379ULL, "", 0, no_states});
+  expect_dfs_golden(
+    events,
+    params,
+    {true, 215, 1196, 215, 0, 0, 216, 0x359edb624d036379ULL, "", 0, no_states},
+    20000);
 }
 
 TEST(ValidatorGolden, ForgedElectionRejected)
@@ -305,8 +372,9 @@ TEST(ValidatorGolden, ForgedElectionRejected)
   forged.commit_idx = 4;
   events.insert(
     events.begin() + static_cast<ptrdiff_t>(events.size() / 8), forged);
-  expect_golden(
-    validate_dfs(events, three_node_params()),
+  expect_dfs_golden(
+    events,
+    three_node_params(),
     {false,
      13,
      213522,
@@ -319,3 +387,43 @@ TEST(ValidatorGolden, ForgedElectionRejected)
      8,
      0xb137d908dc21aafdULL});
 }
+
+TEST(ValidatorGolden, BfsWithoutFaults)
+{
+  // The happy path and the election keep a one-state frontier; the
+  // chaotic run branches; the duplicated delivery is rejected, since
+  // only a fault step explains it.
+  expect_bfs_golden(
+    election_trace(),
+    three_node_params(),
+    {true, 229, 230, 229, 229, 0xead749e9eb5743e4ULL, 230,
+     0x3b28955215055628ULL, ""});
+  expect_bfs_golden(
+    chaotic_trace(),
+    validation_params({1, 2, 3, 4}, 1, 4),
+    {true, 3548, 3564, 3548, 3563, 0x346c1ba6b18a9046ULL, 3549,
+     0xb6327604ef7534f1ULL, ""});
+  expect_bfs_golden(
+    duplicate_delivery_trace(),
+    three_node_params(),
+    {false, 10, 11, 11, 10, 0x142cf8de3fb77d65ULL, 0, no_states,
+     "recvAE node=2 peer=1 term=1 len=4 commit=2 msg_term=1"});
+}
+
+TEST(ValidatorGolden, TraceBeyondSpecDomainIsInconclusive)
+{
+  // 3,000 chaotic steps grow the log past the 255 entries the spec's
+  // 8-bit indices can hold. The validator must give no verdict rather
+  // than throw or reject, and name the first event out of range.
+  const auto r = validate_consensus_trace(
+    chaotic_trace(3000), validation_params({1, 2, 3, 4}, 1, 4));
+  EXPECT_FALSE(r.ok);
+  EXPECT_FALSE(r.stats.complete);
+  EXPECT_EQ(r.lines_matched, 0u);
+  EXPECT_EQ(r.states_explored, 0u);
+  EXPECT_EQ(
+    r.failed_line,
+    "line 10483 (clientRequest node=4 term=241 len=256 commit=254): "
+    "log_len = 256 exceeds the spec's bound 255");
+}
+

@@ -422,6 +422,23 @@ static void BM_StoreInsert(benchmark::State& state)
 }
 BENCHMARK(BM_StoreInsert)->Arg(0)->Arg(1);
 
+static void BM_StateCopy(benchmark::State& state)
+{
+  // The copy each successor starts from: copy-construct one of the
+  // Table-1 states BM_StoreInsert inserts, then destroy it.
+  const auto states = table1_states(4096);
+  size_t i = 0;
+  for (auto _ : state)
+  {
+    auto copy = states[i];
+    benchmark::DoNotOptimize(copy);
+    benchmark::ClobberMemory();
+    i = i + 1 == states.size() ? 0 : i + 1;
+  }
+  state.counters["sizeof_state"] = static_cast<double>(sizeof(states[0]));
+}
+BENCHMARK(BM_StateCopy);
+
 static void BM_SpecExpandAll(benchmark::State& state)
 {
   specs::ccfraft::Params p;

@@ -69,8 +69,10 @@ echo "=== tsan campaign smoke, fingerprint-only store (threads=4) ==="
 # only, which keeps the Release smoke under ~10s. The TSan campaign smoke
 # runs all engines with --symmetry at threads=4 so the canonicalizer's
 # thread-local scratch and the shared fingerprint-dedup store race-check.
+# The smoke runs inside build-release/, so the quick run writes its own
+# BENCH_symmetry.json there and leaves the committed one untouched.
 echo "=== release symmetry-ablation smoke ==="
-./build-release/bench/symmetry_ablation --quick
+(cd build-release && ./bench/symmetry_ablation --quick)
 echo "=== tsan campaign smoke, symmetry reduction (threads=4) ==="
 ./build-tsan/examples/campaign_demo --seconds=10 --threads=4 --symmetry
 
@@ -168,9 +170,11 @@ done
 # blocks handed to mmap'd spill files, bodies freed behind the frontier,
 # record views into frozen arenas, bodies constructed and destroyed by
 # hand in raw arena chunks), ByteSink and the packed consensus encoder
-# (memcpy into a grown buffer), the one-worker DFS (frames reused across
-# descents, the witness moved out of them), and the checker suites, where
-# moved-from successors flow through the engines. An off-by-one there is
+# (memcpy into a grown buffer), SmallVec (elements constructed and
+# destroyed by hand in inline slots and heap blocks), the one-worker DFS
+# (frames reused across descents, the witness moved out of them), the
+# symmetry canonicalizer (states permuted in place), and the checker
+# suites, where moved-from successors flow through the engines. An off-by-one there is
 # silent heap corruption under the normal builds. TSan (above, via ctest)
 # covers the races; this covers the memory.
 echo "=== configure build-asan (-DSCV_SANITIZE=address) ==="
@@ -183,10 +187,10 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Release -DSCV_WERROR=ON \
 echo "=== build build-asan (memory-heavy suites) ==="
 cmake --build build-asan -j "${JOBS}" --target statestore_test util_test \
   trace_validation_test validator_golden_test checker_golden_test \
-  consensus_spec_test spec_framework_test alloc_budget_test
+  consensus_spec_test spec_framework_test alloc_budget_test symmetry_test
 for t in statestore_test util_test trace_validation_test \
   validator_golden_test checker_golden_test consensus_spec_test \
-  spec_framework_test alloc_budget_test; do
+  spec_framework_test alloc_budget_test symmetry_test; do
   echo "--- ${t} (asan) ---"
   "./build-asan/tests/${t}"
 done

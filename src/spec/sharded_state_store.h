@@ -366,10 +366,10 @@ namespace scv::spec
     /// Resident bytes: index slots + heap (unspilled) hot-arena blocks +
     /// state bodies. Body bytes are an estimate (sizeof(S) per retained
     /// body plus map overhead for frontier bodies); states owning heap
-    /// memory cost more than reported. The consensus State, for one,
-    /// keeps its nodes in a vector sized to the model, so its sizeof
-    /// covers only the vector handles, not the nodes. Wait-free; exact
-    /// when quiescent.
+    /// memory cost more than reported. The consensus State keeps its
+    /// nodes, logs and network inline up to fixed capacities, so for
+    /// the Table-1 models its sizeof is the whole body; past them the
+    /// spilled parts are not counted. Wait-free; exact when quiescent.
     [[nodiscard]] size_t store_bytes() const
     {
       size_t total = 0;

@@ -285,7 +285,8 @@ namespace scv::specs::ccfraft
     out.push_back(
       {"ConfigurationIndexesIncreaseInv", [](const State& s) {
          // Configuration entries appear in strictly increasing log order
-         // and every log begins with one.
+         // (a scan meets them in index order), every log begins with one,
+         // and none names an empty node set.
          for (Nid i = 1; i <= s.n_nodes; ++i)
          {
            const SpecNode& n = s.node(i);
@@ -293,14 +294,12 @@ namespace scv::specs::ccfraft
            {
              return false;
            }
-           uint8_t last = 0;
-           for (const auto& c : configs_of(n))
+           for (const SpecEntry& e : n.log)
            {
-             if (c.idx <= last || c.nodes == 0)
+             if (e.type == EType::Reconfig && e.config == 0)
              {
                return false;
              }
-             last = c.idx;
            }
          }
          return true;

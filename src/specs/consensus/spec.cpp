@@ -203,17 +203,11 @@ namespace scv::specs::ccfraft
         {
           rollback_node(p, n2, k);
           // Membership may revert if a pending removal was rolled back.
-          if (n2.membership == SMembership::Ordered)
+          if (
+            n2.membership == SMembership::Ordered &&
+            has_node(common_active_nodes(n2), i))
           {
-            bool excluded = false;
-            for (const auto& c : active_configs(n2))
-            {
-              excluded = excluded || !has_node(c.nodes, i);
-            }
-            if (!excluded)
-            {
-              n2.membership = SMembership::Active;
-            }
+            n2.membership = SMembership::Active;
           }
         }
       }
@@ -322,7 +316,7 @@ namespace scv::specs::ccfraft
       {
         return;
       }
-      if (configs_of(nd).back().nodes == cfg)
+      if (latest_config(nd) == cfg)
       {
         return; // no-op reconfiguration
       }
@@ -1002,8 +996,9 @@ namespace scv::specs::ccfraft
       const SpecMessage& m,
       const Emit<State>& emit)
     {
+      const uint8_t copies = s.message_count(m);
       if (
-        s.message_count(m) == 0 || s.message_count(m) >= p.max_copies ||
+        copies == 0 || copies >= p.max_copies ||
         s.network_size() >= p.max_network)
       {
         return;

@@ -207,34 +207,6 @@ namespace scv::specs::ccfraft
     return os.str();
   }
 
-  std::vector<SpecConfig> configs_of(const SpecNode& node)
-  {
-    std::vector<SpecConfig> out;
-    for (uint8_t i = 1; i <= node.len(); ++i)
-    {
-      if (node.log[i - 1].type == EType::Reconfig)
-      {
-        out.push_back({i, node.log[i - 1].config});
-      }
-    }
-    SCV_CHECK_MSG(!out.empty(), "spec log must begin with a configuration");
-    return out;
-  }
-
-  std::vector<SpecConfig> active_configs(const SpecNode& node)
-  {
-    const auto all = configs_of(node);
-    size_t current = 0;
-    for (size_t i = 0; i < all.size(); ++i)
-    {
-      if (all[i].idx <= node.commit_index)
-      {
-        current = i;
-      }
-    }
-    return {all.begin() + static_cast<ptrdiff_t>(current), all.end()};
-  }
-
   namespace
   {
     /// Log index of the current configuration: the last Reconfig entry at
@@ -285,10 +257,29 @@ namespace scv::specs::ccfraft
     return out;
   }
 
+  Bits common_active_nodes(const SpecNode& node)
+  {
+    Bits out = static_cast<Bits>(~0u);
+    for_each_active_config(
+      node, [&](Bits config) { out = static_cast<Bits>(out & config); });
+    return out;
+  }
+
   SpecConfig current_config(const SpecNode& node)
   {
     const uint8_t idx = current_config_index(node);
     return {idx, node.log[idx - 1].config};
+  }
+
+  Bits latest_config(const SpecNode& node)
+  {
+    uint8_t i = node.len();
+    while (i >= 1 && node.log[i - 1].type != EType::Reconfig)
+    {
+      --i;
+    }
+    SCV_CHECK_MSG(i >= 1, "spec log must begin with a configuration");
+    return node.log[i - 1].config;
   }
 
   Bits retired_nodes(const SpecNode& node)

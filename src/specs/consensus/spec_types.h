@@ -20,16 +20,29 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <type_traits>
-#include <vector>
+#include <utility>
 
 #include "util/check.h"
 #include "util/hash.h"
+#include "util/small_vec.h"
 
 namespace scv::specs::ccfraft
 {
   constexpr size_t kMaxNodes = 7;
+
+  /// Inline capacities of the state's small vectors. They cover the
+  /// Table-1 and symmetry models (logs of at most max_log_len + 1 <= 8
+  /// entries, AE windows and snapshot prefixes of at most 4, up to three
+  /// nodes and two distinct in-flight messages), so copying one of their
+  /// states allocates nothing; longer logs and larger networks (trace
+  /// validation) spill to the heap.
+  constexpr size_t kInlineLog = 8;
+  constexpr size_t kInlineEntries = 4;
+  constexpr size_t kInlineNodes = 3;
+  constexpr size_t kInlineNetwork = 2;
 
   using Nid = uint8_t; // 1-based node id; 0 = none
   using Bits = uint8_t; // node-set bitmask; bit (n-1) = node n
@@ -99,7 +112,7 @@ namespace scv::specs::ccfraft
   /// its four one-byte fields in declaration order, which is exactly its
   /// object representation (asserted above).
   inline void serialize_entries(
-    ByteSink& sink, const std::vector<SpecEntry>& entries)
+    ByteSink& sink, std::span<const SpecEntry> entries)
   {
     sink.raw(
       reinterpret_cast<const uint8_t*>(entries.data()),
@@ -131,7 +144,7 @@ namespace scv::specs::ccfraft
     uint8_t prev_idx = 0;
     uint8_t prev_term = 0;
     uint8_t commit = 0;
-    std::vector<SpecEntry> entries;
+    SmallVec<SpecEntry, kInlineEntries> entries;
     // AeResp: success + last_idx; RvResp: success = granted.
     bool success = false;
     uint8_t last_idx = 0;
@@ -187,7 +200,7 @@ namespace scv::specs::ccfraft
     uint8_t current_term = 1;
     Nid voted_for = 0;
     Bits votes_granted = 0;
-    std::vector<SpecEntry> log;
+    SmallVec<SpecEntry, kInlineLog> log;
     uint8_t commit_index = 0;
     /// Ghost-log compaction watermark: entries at or below snap_idx are
     /// physically dropped by the implementation but retained here so the
@@ -263,9 +276,9 @@ namespace scv::specs::ccfraft
     uint8_t n_nodes = 0;
     /// Exactly n_nodes entries (initial_state sizes it), so copies and
     /// comparisons touch only the model's nodes.
-    std::vector<SpecNode> nodes;
+    SmallVec<SpecNode, kInlineNodes> nodes;
     /// Multiset of in-transit messages: sorted unique messages with counts.
-    std::vector<std::pair<SpecMessage, uint8_t>> network;
+    SmallVec<std::pair<SpecMessage, uint8_t>, kInlineNetwork> network;
     /// Next client-request payload id (bounded by the model).
     uint8_t next_request = 1;
 
@@ -315,23 +328,21 @@ namespace scv::specs::ccfraft
 
   // --- derived (log-scanned) views ------------------------------------------
   //
-  // The views below the two vector-returning ones scan the log in place
-  // and allocate nothing; they run on every expanded state.
-  // consensus_spec_test checks them against the vector forms.
-
-  /// All configurations in a log, in order; the bootstrap log guarantees at
-  /// least one.
-  std::vector<SpecConfig> configs_of(const SpecNode& node);
-
-  /// Active configurations given the node's commit index: the current
-  /// configuration and every later one.
-  std::vector<SpecConfig> active_configs(const SpecNode& node);
+  // Every view scans the log in place and allocates nothing; they run on
+  // every expanded state. consensus_spec_test checks them against an
+  // oracle that lists the log's configurations.
 
   /// Union of active-configuration node sets.
   Bits active_nodes(const SpecNode& node);
 
+  /// Intersection of active-configuration node sets.
+  Bits common_active_nodes(const SpecNode& node);
+
   /// The current (highest committed) configuration.
   SpecConfig current_config(const SpecNode& node);
+
+  /// Node set of the last configuration in the log, committed or not.
+  Bits latest_config(const SpecNode& node);
 
   /// Nodes whose Retire entry has committed in this node's view.
   Bits retired_nodes(const SpecNode& node);

@@ -118,7 +118,7 @@ TEST(AllocBudget, EmitAllocatesNothing)
   EXPECT_EQ(sum, 2 * 28);
 }
 
-TEST(AllocBudget, Table1CheckStaysUnderThirteenPerDistinctState)
+TEST(AllocBudget, Table1CheckStaysAtMostOnePerDistinctState)
 {
   // The Table-1 model (bench/table1_consensus, perfbench modelcheck).
   specs::ccfraft::Params p;
@@ -144,7 +144,10 @@ TEST(AllocBudget, Table1CheckStaysUnderThirteenPerDistinctState)
     static_cast<double>(used) / static_cast<double>(546'356);
   std::cout << "allocations: " << used << " (" << per_state
             << " per distinct state)\n";
-  // The path measures 12.2. Wrapping the checker's emit callback in a
-  // std::function per (state, action) alone adds about 5 per state.
-  EXPECT_LE(per_state, 13.0);
+  // The path measures 0.22: a successor copy allocates nothing while
+  // its logs, messages, nodes and network fit inline (State's SmallVec
+  // capacities). Heap-backed State vectors measured 12.2, and wrapping the
+  // checker's emit callback in a std::function per (state, action) alone
+  // adds about 5 per state.
+  EXPECT_LE(per_state, 1.0);
 }

@@ -20,6 +20,7 @@
 #include "spec/model_checker.h"
 #include "spec/simulator.h"
 #include "specs/consensus/spec.h"
+#include "util/hex.h"
 
 using namespace scv;
 using namespace scv::spec;
@@ -846,11 +847,132 @@ TEST(ConsensusSerialize, PackedEncoderMatchesFieldByFieldOnSymmetricInits)
   }
 }
 
-// The allocation-free derived views (active_nodes, current_config,
-// known_nodes, quorum_in_each) scan the log in place; the vector-returning
-// configs_of/active_configs are their oracle. Checked on every reachable
-// state of a reconfiguration model where joint configurations, removals
-// and retirements all occur.
+namespace
+{
+  /// A state whose log, message entries, nodes and network all exceed
+  /// their inline capacities: four nodes, a twelve-entry log, a five-entry
+  /// AppendEntries window and three distinct messages, one sent twice.
+  State overflowing_state()
+  {
+    Params p;
+    p.n_nodes = 4;
+    State s = initial_state(p);
+    SpecNode& leader = s.node(1);
+    for (uint8_t i = 0; i < 8; ++i)
+    {
+      const EType type = i % 3 == 2 ? EType::Sig : EType::Data;
+      leader.log.push_back(
+        {2, type, static_cast<uint8_t>(type == EType::Data ? i + 1 : 0), 0});
+    }
+    leader.log.push_back({2, EType::Reconfig, 0, 0b0111});
+    leader.log.push_back({2, EType::Retire, 4, 0});
+    leader.current_term = 2;
+    leader.commit_index = 5;
+    SpecMessage ae;
+    ae.type = MType::AeReq;
+    ae.from = 1;
+    ae.to = 3;
+    ae.term = 2;
+    ae.prev_idx = 2;
+    ae.prev_term = 1;
+    ae.commit = 5;
+    for (uint8_t k = 3; k <= 7; ++k)
+    {
+      ae.entries.push_back(leader.at(k));
+    }
+    SpecMessage vote;
+    vote.type = MType::RvReq;
+    vote.from = 2;
+    vote.to = 4;
+    vote.term = 2;
+    vote.last_log_idx = 2;
+    vote.last_log_term = 1;
+    SpecMessage ack;
+    ack.type = MType::AeResp;
+    ack.from = 4;
+    ack.to = 1;
+    ack.term = 1;
+    ack.success = true;
+    ack.last_idx = 2;
+    s.add_message(ae);
+    s.add_message(vote, 2);
+    s.add_message(ack);
+    s.next_request = 7;
+    return s;
+  }
+}
+
+// State keeps its small vectors inline up to fixed capacities and spills
+// to the heap past them. A state past every capacity serializes and
+// fingerprints exactly as it did when State held std::vectors (the pins
+// below are that encoding), and survives copies and moves.
+TEST(ConsensusSerialize, StatePastInlineCapacitiesKeepsItsBytes)
+{
+  const State s = overflowing_state();
+  ASSERT_GT(size_t{s.n_nodes}, kInlineNodes);
+  ASSERT_GT(s.node(1).log.size(), kInlineLog);
+  ASSERT_GT(s.network.size(), kInlineNetwork);
+  ASSERT_GT(s.network[0].first.entries.size(), kInlineEntries);
+
+  const std::string want =
+      "04020201000c0102000f01010000020001000200020002010000020004000200"
+      "0500020100000200070002000800020200070203040005000000020202000000"
+      "000000000000000000010000020102000f010100000200000000000000000000"
+      "0000000000000000010000020102000f01010000020000000000000000000000"
+      "00000000000000010000020102000f0101000002000000000000000000000000"
+      "0000000000030001030202010505020001000200020002010000020004000200"
+      "0500000000000101040101000000000102000001020204020000000000000201"
+      "0207";
+  EXPECT_EQ(to_hex(packed_bytes(s)), want);
+  EXPECT_EQ(packed_bytes(s), oracle_bytes(s));
+  EXPECT_EQ(fingerprint(s), 0xf94c32bd2a936536ull);
+
+  State copy = s;
+  EXPECT_EQ(copy, s);
+  EXPECT_EQ(fingerprint(copy), fingerprint(s));
+  const State moved = std::move(copy);
+  EXPECT_EQ(moved, s);
+  EXPECT_EQ(to_hex(packed_bytes(moved)), want);
+}
+
+// The derived views (active_nodes, common_active_nodes, current_config,
+// latest_config, known_nodes, quorum_in_each) scan the log in place;
+// configs_of/active_configs below list the log's configurations and are
+// their oracle. Checked on every reachable state of a reconfiguration
+// model where joint configurations, removals and retirements all occur.
+namespace
+{
+  /// All configurations in a log, in order.
+  std::vector<SpecConfig> configs_of(const SpecNode& node)
+  {
+    std::vector<SpecConfig> out;
+    for (uint8_t i = 1; i <= node.len(); ++i)
+    {
+      if (node.log[i - 1].type == EType::Reconfig)
+      {
+        out.push_back({i, node.log[i - 1].config});
+      }
+    }
+    return out;
+  }
+
+  /// The current configuration (the last one at or below the commit
+  /// index, else the first) and every later one.
+  std::vector<SpecConfig> active_configs(const SpecNode& node)
+  {
+    const auto all = configs_of(node);
+    size_t current = 0;
+    for (size_t i = 0; i < all.size(); ++i)
+    {
+      if (all[i].idx <= node.commit_index)
+      {
+        current = i;
+      }
+    }
+    return {all.begin() + static_cast<ptrdiff_t>(current), all.end()};
+  }
+}
+
 TEST(ConsensusDerivedViews, AgreeWithConfigListsOnReconfigurationModel)
 {
   Params p;
@@ -873,6 +995,7 @@ TEST(ConsensusDerivedViews, AgreeWithConfigListsOnReconfigurationModel)
     {
       const SpecNode& nd = s.node(i);
       const auto all = configs_of(nd);
+      ASSERT_FALSE(all.empty()) << s.to_string();
       const auto active = active_configs(nd);
       Bits union_all = 0;
       for (const SpecConfig& c : all)
@@ -880,11 +1003,15 @@ TEST(ConsensusDerivedViews, AgreeWithConfigListsOnReconfigurationModel)
         union_all = static_cast<Bits>(union_all | c.nodes);
       }
       Bits union_active = 0;
+      Bits common_active = static_cast<Bits>(~0u);
       for (const SpecConfig& c : active)
       {
         union_active = static_cast<Bits>(union_active | c.nodes);
+        common_active = static_cast<Bits>(common_active & c.nodes);
       }
       ASSERT_EQ(active_nodes(nd), union_active) << s.to_string();
+      ASSERT_EQ(common_active_nodes(nd), common_active) << s.to_string();
+      ASSERT_EQ(latest_config(nd), all.back().nodes) << s.to_string();
       ASSERT_EQ(known_nodes(nd), union_all) << s.to_string();
       ASSERT_EQ(current_config(nd).idx, active.front().idx) << s.to_string();
       ASSERT_EQ(current_config(nd).nodes, active.front().nodes)

@@ -507,7 +507,8 @@ namespace
     m.prev_term = 1;
     m.commit = 2;
     m.last_idx = 2;
-    m.entries = s.node(1).log; // ghost prefix: the bootstrap log
+    // Ghost prefix: the bootstrap log.
+    m.entries.assign(s.node(1).log.begin(), s.node(1).log.end());
     return m;
   }
 }

@@ -1,14 +1,18 @@
 // Unit tests for the util module: RNG determinism and distribution
-// sanity, hashing canonicality, hex codec, JSON round-trips, strings.
+// sanity, hashing canonicality, hex codec, JSON round-trips, strings,
+// the inline small vector.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/hash.h"
 #include "util/hex.h"
 #include "util/json.h"
 #include "util/rng.h"
+#include "util/small_vec.h"
 #include "util/strings.h"
 
 using namespace scv;
@@ -346,4 +350,217 @@ TEST(Check, ThrowsWithMessage)
   {
     EXPECT_NE(std::string(e.what()).find("value was 42"), std::string::npos);
   }
+}
+
+// ---------------------------------------------------------------------------
+// SmallVec. Elements are std::strings long enough to own heap memory, so
+// ASan reports a leaked, double-destroyed or unconstructed element.
+// ---------------------------------------------------------------------------
+
+namespace
+{
+  using Strs = SmallVec<std::string, 3>;
+
+  std::string big(int i)
+  {
+    return "element-" + std::to_string(i) + std::string(40, 'x');
+  }
+
+  /// A SmallVec holding big(0) .. big(n - 1).
+  Strs strs(int n)
+  {
+    Strs v;
+    for (int i = 0; i < n; ++i)
+    {
+      v.push_back(big(i));
+    }
+    return v;
+  }
+
+  std::vector<std::string> as_vector(const Strs& v)
+  {
+    return {v.begin(), v.end()};
+  }
+
+  std::vector<std::string> bigs(std::initializer_list<int> ids)
+  {
+    std::vector<std::string> out;
+    for (const int i : ids)
+    {
+      out.push_back(big(i));
+    }
+    return out;
+  }
+}
+
+TEST(SmallVec, CrossesInlineCapacityAndShrinksBack)
+{
+  Strs v;
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(v.capacity(), 3u);
+  for (int i = 0; i < 3; ++i)
+  {
+    v.push_back(big(i));
+  }
+  EXPECT_EQ(v.capacity(), 3u); // N elements stay inline
+  v.push_back(big(3)); // N + 1 moves to the heap
+  EXPECT_GT(v.capacity(), 3u);
+  EXPECT_EQ(as_vector(v), bigs({0, 1, 2, 3}));
+  EXPECT_EQ(v.back(), big(3));
+
+  v.resize(2); // shrinking keeps the block...
+  EXPECT_GT(v.capacity(), 3u);
+  EXPECT_EQ(as_vector(v), bigs({0, 1}));
+  const Strs copy = v; // ...but a copy that fits starts inline
+  EXPECT_EQ(copy.capacity(), 3u);
+  EXPECT_EQ(copy, v);
+
+  // Pushing an element of the vector itself across the boundary.
+  Strs self = strs(3);
+  self.push_back(self[0]);
+  EXPECT_EQ(as_vector(self), bigs({0, 1, 2, 0}));
+
+  v.clear();
+  EXPECT_TRUE(v.empty());
+  v.push_back(big(7));
+  EXPECT_EQ(as_vector(v), bigs({7}));
+}
+
+TEST(SmallVec, CopyAndMoveAcrossInlineAndHeap)
+{
+  // Every destination x source storage pair: 2 elements are inline, 5
+  // are on the heap.
+  for (const int dst_n : {2, 5})
+  {
+    for (const int src_n : {2, 5})
+    {
+      SCOPED_TRACE(std::to_string(dst_n) + " <- " + std::to_string(src_n));
+      const Strs src = strs(src_n);
+      const std::vector<std::string> want = as_vector(src);
+
+      Strs copied = strs(dst_n);
+      copied = src;
+      EXPECT_EQ(as_vector(copied), want);
+      EXPECT_EQ(as_vector(src), want);
+
+      Strs moved = strs(dst_n);
+      Strs from = src;
+      moved = std::move(from);
+      EXPECT_EQ(as_vector(moved), want);
+      EXPECT_TRUE(from.empty()); // NOLINT(bugprone-use-after-move)
+      from.push_back(big(9)); // a moved-from vector stays usable
+      EXPECT_EQ(as_vector(from), bigs({9}));
+
+      Strs constructed(moved);
+      EXPECT_EQ(as_vector(constructed), want);
+      Strs move_constructed(std::move(constructed));
+      EXPECT_EQ(as_vector(move_constructed), want);
+      EXPECT_TRUE(constructed.empty()); // NOLINT(bugprone-use-after-move)
+    }
+  }
+}
+
+TEST(SmallVec, SelfAssignmentKeepsContents)
+{
+  for (const int n : {2, 5})
+  {
+    Strs v = strs(n);
+    const std::vector<std::string> want = as_vector(v);
+    Strs& alias = v;
+    v = alias;
+    EXPECT_EQ(as_vector(v), want);
+    v = std::move(alias);
+    EXPECT_EQ(as_vector(v), want);
+  }
+}
+
+TEST(SmallVec, InsertAndEraseKeepOrder)
+{
+  Strs v;
+  std::vector<std::string> ref;
+  Rng rng(23);
+  // Random inserts and erases, crossing the inline capacity both ways.
+  for (int step = 0; step < 400; ++step)
+  {
+    if (ref.empty() || rng.below(3) != 0)
+    {
+      const size_t at = rng.below(ref.size() + 1);
+      const std::string value = big(step);
+      const std::string* pos = v.insert(v.begin() + at, value);
+      EXPECT_EQ(*pos, value);
+      ref.insert(ref.begin() + static_cast<ptrdiff_t>(at), value);
+    }
+    else
+    {
+      const size_t at = rng.below(ref.size());
+      const std::string* next = v.erase(v.begin() + at);
+      ref.erase(ref.begin() + static_cast<ptrdiff_t>(at));
+      EXPECT_EQ(next, v.begin() + at);
+    }
+    ASSERT_EQ(as_vector(v), ref) << "step " << step;
+    if (ref.size() > 8)
+    {
+      v.clear();
+      ref.clear();
+    }
+  }
+}
+
+TEST(SmallVec, ResizeAndAssign)
+{
+  SmallVec<int, 4> v;
+  v.resize(3);
+  EXPECT_EQ(std::vector<int>(v.begin(), v.end()), (std::vector<int>{0, 0, 0}));
+  v[1] = 5;
+  v.resize(6); // grows past inline with value-initialized elements
+  EXPECT_EQ(
+    std::vector<int>(v.begin(), v.end()),
+    (std::vector<int>{0, 5, 0, 0, 0, 0}));
+  v.resize(1);
+  EXPECT_EQ(std::vector<int>(v.begin(), v.end()), (std::vector<int>{0}));
+
+  const std::vector<int> seven = {1, 2, 3, 4, 5, 6, 7};
+  v.assign(seven.begin(), seven.end());
+  EXPECT_EQ(std::vector<int>(v.begin(), v.end()), seven);
+  v.assign(seven.begin(), seven.begin() + 2);
+  EXPECT_EQ(std::vector<int>(v.begin(), v.end()), (std::vector<int>{1, 2}));
+
+  Strs s = strs(2);
+  const std::vector<std::string> five = bigs({4, 3, 2, 1, 0});
+  s.assign(five.begin(), five.end());
+  EXPECT_EQ(as_vector(s), five);
+  s.resize(4);
+  s.resize(5);
+  EXPECT_EQ(as_vector(s), (std::vector<std::string>{
+                            big(4), big(3), big(2), big(1), std::string()}));
+}
+
+TEST(SmallVec, OrderingMatchesStdVector)
+{
+  // Short sequences over a small alphabet, so equal prefixes, proper
+  // prefixes and equal sequences all occur; lengths cross N = 3.
+  Rng rng(29);
+  const auto random_seq = [&rng] {
+    std::vector<int> out(rng.below(6));
+    for (int& x : out)
+    {
+      x = static_cast<int>(rng.below(3));
+    }
+    return out;
+  };
+  size_t equal = 0;
+  for (int trial = 0; trial < 4000; ++trial)
+  {
+    const std::vector<int> a = random_seq();
+    const std::vector<int> b = random_seq();
+    SmallVec<int, 3> sa;
+    sa.assign(a.begin(), a.end());
+    SmallVec<int, 3> sb;
+    sb.assign(b.begin(), b.end());
+    ASSERT_EQ(sa == sb, a == b);
+    ASSERT_EQ(sa <=> sb, a <=> b);
+    ASSERT_EQ(sa < sb, a < b);
+    equal += a == b ? 1 : 0;
+  }
+  EXPECT_GT(equal, 0u);
 }

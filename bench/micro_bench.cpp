@@ -1,6 +1,7 @@
 // Google-benchmark micro benchmarks for the substrates: hashing, Merkle
 // tree maintenance, message serialization, the simulated network, the KV
-// store, single-node protocol steps, and spec-state fingerprinting. These
+// store and its replicated payload codec, single-node protocol steps, and
+// spec-state fingerprinting. These
 // quantify the cost of the building blocks the verification workloads
 // (Table 1) are made of.
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "crypto/merkle_tree.h"
 #include "crypto/sha256.h"
 #include "kv/store.h"
+#include "kv/tx.h"
 #include "net/sim_network.h"
 #include "spec/expander.h"
 #include "spec/sharded_state_store.h"
@@ -146,6 +148,20 @@ static void BM_KvApplyCommit(benchmark::State& state)
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 64);
 }
 BENCHMARK(BM_KvApplyCommit);
+
+static void BM_KvDecodePayload(benchmark::State& state)
+{
+  // A SmallBank-sized write set: two balances under table-qualified keys.
+  kv::WriteSet ws;
+  ws.writes.push_back({"smallbank.checking/17", "10250"});
+  ws.writes.push_back({"smallbank.savings/17", "9750"});
+  const std::string payload = kv::encode_payload(ws);
+  for (auto _ : state)
+  {
+    benchmark::DoNotOptimize(kv::decode_payload(payload));
+  }
+}
+BENCHMARK(BM_KvDecodePayload);
 
 static void BM_RaftReplicationRound(benchmark::State& state)
 {

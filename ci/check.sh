@@ -121,17 +121,27 @@ echo "=== release smallbank load smoke (seed 2026, determinism) ==="
 echo "=== tsan smallbank load smoke (threads=4) ==="
 ./build-tsan/bench/smallbank_load --seed=2026 --threads=4 --ticks=200
 
-# SmallBank serving soak: 20,000 ticks (~8k committed transactions) on one
-# shard under a 1 GiB address-space cap and a 60 s wall-clock cap. The run
-# takes about a second and 600 MB; a per-transaction cost that grows with
-# history length (a Merkle root recomputed from every leaf, a session
-# rescanning the ledger, a second copy of each observation list) blows
-# one of the caps long before a user notices.
-echo "=== release smallbank serving soak (20k ticks, 1 GiB cap) ==="
+# SmallBank serving soaks on one shard, each under an address-space cap of
+# about twice its measured peak (VmPeak, Release, x86-64 glibc) and a 60 s
+# wall-clock cap. 20,000 ticks (~8k committed transactions) peak at about
+# 142 MB of address space and take a quarter of a second; 100,000 ticks
+# (~40k) peak at about 334 MB and take under two seconds. Memory that grows
+# faster than the history (a per-response copy of every observed id, as
+# before run-length observation lists: 600 MB at 20k ticks) or a
+# per-transaction cost that grows with it (a Merkle root recomputed from
+# every leaf, a session rescanning the ledger) blows a cap long before a
+# user notices.
+echo "=== release smallbank serving soak (20k ticks, 288 MiB cap) ==="
 (
-  ulimit -v $((1024 * 1024))
+  ulimit -v $((288 * 1024))
   timeout 60 ./build-release/bench/smallbank_load --seed=2026 --threads=1 \
     --ticks=20000
+)
+echo "=== release smallbank serving soak (100k ticks, 672 MiB cap) ==="
+(
+  ulimit -v $((672 * 1024))
+  timeout 60 ./build-release/bench/smallbank_load --seed=2026 --threads=1 \
+    --ticks=100000
 )
 
 # UBSan over the driver-facing suites: crash-restart recovery and the
@@ -142,7 +152,10 @@ echo "=== release smallbank serving soak (20k ticks, 1 GiB cap) ==="
 # digest reads unaligned 8-byte words, and the one-worker DFS reuses its
 # frames across descents. So do the checker suites: successors are moved
 # through the engines, and the store's body arena constructs and destroys
-# bodies by hand.
+# bodies by hand. And the serving suites: the SHA-256 block functions
+# (portable and SHA-NI, cross-checked in crypto_test), the run-length
+# observation lists (TxIdRuns in consensus_test, against the element-wise
+# oracle in session_test) and the one-pass kvws1 decoder (kv_test).
 echo "=== configure build-ubsan (-DSCV_SANITIZE=undefined) ==="
 # -Wno-stringop-overflow: GCC 12's stringop-overflow analysis false-
 # positives on vector<unsigned char>::push_back when UBSan
@@ -156,12 +169,14 @@ cmake --build build-ubsan -j "${JOBS}" --target \
   raft_node_test scenario_dsl_test scenario_test e2e_test bugs_test \
   nemesis_test session_api_test snapshot_test util_test \
   trace_validation_test validator_golden_test checker_golden_test \
-  consensus_spec_test spec_framework_test alloc_budget_test
+  consensus_spec_test spec_framework_test alloc_budget_test \
+  crypto_test consensus_test session_test kv_test
 echo "=== test build-ubsan (driver tests) ==="
 for t in raft_node_test scenario_dsl_test scenario_test e2e_test \
   bugs_test nemesis_test session_api_test snapshot_test util_test \
   trace_validation_test validator_golden_test checker_golden_test \
-  consensus_spec_test spec_framework_test alloc_budget_test; do
+  consensus_spec_test spec_framework_test alloc_budget_test \
+  crypto_test consensus_test session_test kv_test; do
   echo "--- ${t} (ubsan) ---"
   "./build-ubsan/tests/${t}"
 done
@@ -173,8 +188,12 @@ done
 # (memcpy into a grown buffer), SmallVec (elements constructed and
 # destroyed by hand in inline slots and heap blocks), the one-worker DFS
 # (frames reused across descents, the witness moved out of them), the
-# symmetry canonicalizer (states permuted in place), and the checker
-# suites, where moved-from successors flow through the engines. An off-by-one there is
+# symmetry canonicalizer (states permuted in place), the checker
+# suites, where moved-from successors flow through the engines, and the
+# serving suites: SHA-256 (whole blocks read straight from the input,
+# the tail buffered), TxIdRuns (inline runs in a SmallVec, iterators
+# walking them) and the kvws1 decoder (string_view slices of the
+# payload). An off-by-one there is
 # silent heap corruption under the normal builds. TSan (above, via ctest)
 # covers the races; this covers the memory.
 echo "=== configure build-asan (-DSCV_SANITIZE=address) ==="
@@ -187,10 +206,12 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Release -DSCV_WERROR=ON \
 echo "=== build build-asan (memory-heavy suites) ==="
 cmake --build build-asan -j "${JOBS}" --target statestore_test util_test \
   trace_validation_test validator_golden_test checker_golden_test \
-  consensus_spec_test spec_framework_test alloc_budget_test symmetry_test
+  consensus_spec_test spec_framework_test alloc_budget_test symmetry_test \
+  crypto_test consensus_test session_test kv_test
 for t in statestore_test util_test trace_validation_test \
   validator_golden_test checker_golden_test consensus_spec_test \
-  spec_framework_test alloc_budget_test symmetry_test; do
+  spec_framework_test alloc_budget_test symmetry_test \
+  crypto_test consensus_test session_test kv_test; do
   echo "--- ${t} (asan) ---"
   "./build-asan/tests/${t}"
 done

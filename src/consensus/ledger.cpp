@@ -46,10 +46,12 @@ namespace scv::consensus
   {
     tree_.append(entry_digest(entry));
     const bool data = entry.type == EntryType::Data;
+    const Term term = entry.term;
     entries_.push_back(std::move(entry));
     if (data)
     {
       data_indices_.push_back(last_index());
+      data_txids_.push_back(TxId{term, data_indices_.size()});
     }
     return last_index();
   }
@@ -63,6 +65,7 @@ namespace scv::consensus
     entries_.resize(new_last - start_index_);
     tree_.truncate(new_last);
     data_indices_.resize(data_count_upto(new_last));
+    data_txids_.truncate(data_indices_.size());
   }
 
   void Ledger::compact(Index up_to)
@@ -107,6 +110,8 @@ namespace scv::consensus
       if (meta[i - 1].type == EntryType::Data)
       {
         out.data_indices_.push_back(i);
+        out.data_txids_.push_back(
+          TxId{meta[i - 1].term, out.data_indices_.size()});
       }
     }
     return out;

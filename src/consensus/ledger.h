@@ -17,7 +17,9 @@
 // The ledger also keeps the ascending indices of its Data (application)
 // entries, so "how many application transactions up to i" and "where is
 // the k-th one" are O(log n) and O(1) — the session's client-facing tx ids
-// are positions among Data entries.
+// are positions among Data entries. Those ids, (term, k) for the k-th Data
+// entry, are kept as run-length TxIdRuns, so the id list of any prefix is
+// O(#terms) to take.
 //
 // Indices are 1-based; index 0 means "nothing".
 #pragma once
@@ -26,6 +28,7 @@
 #include <set>
 #include <vector>
 
+#include "consensus/txid_runs.h"
 #include "consensus/types.h"
 #include "crypto/merkle_tree.h"
 
@@ -137,6 +140,13 @@ namespace scv::consensus
     /// data_count_upto(last_index())).
     [[nodiscard]] Index data_index(size_t k) const;
 
+    /// Application tx ids of all Data entries, in order: (term, k) for the
+    /// k-th one. Exact below the hole, like data_count_upto().
+    [[nodiscard]] const TxIdRuns& data_txids() const
+    {
+      return data_txids_;
+    }
+
     /// Index of the last Signature entry at or before idx (0 if none).
     [[nodiscard]] Index last_signature_at_or_before(Index idx) const;
 
@@ -167,5 +177,6 @@ namespace scv::consensus
     Index start_index_ = 0;
     crypto::MerkleTree tree_; // leaves for (0, last_index()]
     std::vector<Index> data_indices_; // ascending indices of Data entries
+    TxIdRuns data_txids_; // (term, k) of the k-th Data entry
   };
 }

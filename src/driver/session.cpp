@@ -28,21 +28,14 @@ namespace scv::driver
     return "unknown";
   }
 
-  std::vector<TxId> Session::app_txids_upto(
+  consensus::TxIdRuns Session::app_txids_upto(
     const consensus::RaftNode& node, Index upto)
   {
-    // The ledger's Data-entry index is exact below a compaction hole, so
+    // The ledger's Data-entry ids are exact below a compaction hole, so
     // the id list is identical whether the prefix was replayed or
     // snapshotted away.
     const auto& ledger = node.ledger();
-    const size_t count = ledger.data_count_upto(upto);
-    std::vector<TxId> out;
-    out.reserve(count);
-    for (size_t k = 1; k <= count; ++k)
-    {
-      out.push_back(TxId{ledger.term_at(ledger.data_index(k)), k});
-    }
-    return out;
+    return ledger.data_txids().prefix(ledger.data_count_upto(upto));
   }
 
   Session::Pending* Session::find(uint64_t client_seq)
@@ -227,22 +220,17 @@ namespace scv::driver
     // prefix covers position i and agrees with what was observed, and
     // INVALID when the committed prefix covers i but diverges.
     const auto& ledger = node.ledger();
-    const auto committed = [&](size_t k) {
-      return TxId{ledger.term_at(ledger.data_index(k)), k};
-    };
     const size_t at = p->txid.index;
     TxStatus status = TxStatus::Pending;
     if (ledger.data_count_upto(node.commit_index()) >= at)
     {
       const auto& observed = history_[p->response].observed;
-      bool matches = true;
-      for (size_t k = 1; matches && k <= observed.size() && k <= at; ++k)
-      {
-        matches = committed(k) == observed[k - 1];
-      }
+      bool matches = consensus::TxIdRuns::same_prefix(
+        observed, ledger.data_txids(), std::min<size_t>(observed.size(), at));
       if (!p->read_only && matches)
       {
-        matches = at >= 1 && committed(at) == p->txid;
+        matches = at >= 1 &&
+          TxId{ledger.term_at(ledger.data_index(at)), at} == p->txid;
       }
       status = matches ? TxStatus::Committed : TxStatus::Invalid;
     }

@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "consensus/txid_runs.h"
 #include "driver/cluster.h"
 #include "kv/tx.h"
 
@@ -64,8 +65,11 @@ namespace scv::driver
     /// log; for read-only transactions it is the observation point (the
     /// number of application transactions observed).
     consensus::TxId txid;
-    /// Application transactions observed, in execution order.
-    std::vector<consensus::TxId> observed;
+    /// Application transactions observed, in execution order. Stored as
+    /// run-length TxIdRuns (one run per term), so a response costs
+    /// O(#terms), not O(history length); it iterates, compares and
+    /// serializes like the std::vector<TxId> it lists.
+    consensus::TxIdRuns observed;
     consensus::TxStatus status = consensus::TxStatus::Unknown;
 
     bool operator==(const ClientEvent&) const = default;
@@ -212,7 +216,7 @@ namespace scv::driver
 
     /// Application-transaction ids in `node`'s log up to `upto` (ledger
     /// index), in order.
-    static std::vector<consensus::TxId> app_txids_upto(
+    static consensus::TxIdRuns app_txids_upto(
       const consensus::RaftNode& node, consensus::Index upto);
 
     /// Speculative read view of a node: ordered-but-uncommitted write

@@ -1,15 +1,15 @@
 #include "kv/tx.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "util/hex.h"
-#include "util/strings.h"
 
 namespace scv::kv
 {
   namespace
   {
-    constexpr const char* kMagic = "kvws1";
+    constexpr std::string_view kMagic = "kvws1";
   }
 
   ReadView store_view(const Store& store, Version at)
@@ -63,7 +63,7 @@ namespace scv::kv
 
   std::string encode_payload(const WriteSet& ws)
   {
-    std::string out = kMagic;
+    std::string out(kMagic);
     for (const auto& w : ws.writes)
     {
       out += '\n';
@@ -83,7 +83,8 @@ namespace scv::kv
 
   bool is_kv_payload(const std::string& payload)
   {
-    return payload == kMagic || starts_with(payload, std::string(kMagic) + "\n");
+    return std::string_view(payload).starts_with(kMagic) &&
+      (payload.size() == kMagic.size() || payload[kMagic.size()] == '\n');
   }
 
   std::optional<WriteSet> decode_payload(const std::string& payload)
@@ -92,42 +93,45 @@ namespace scv::kv
     {
       return std::nullopt;
     }
+    // One pass over the lines after the magic: "w <key>[ <value>]" or
+    // "d <key>", both hex-armored, decoded straight into the write.
     WriteSet ws;
-    const auto lines = split(payload, '\n');
-    for (size_t i = 1; i < lines.size(); ++i)
+    std::string_view rest = std::string_view(payload).substr(kMagic.size());
+    while (!rest.empty())
     {
-      const auto fields = split(lines[i], ' ');
-      const bool is_write = !fields.empty() && fields[0] == "w";
-      const bool is_delete = !fields.empty() && fields[0] == "d";
+      rest.remove_prefix(1); // the '\n' ending the previous line
+      const size_t eol = rest.find('\n');
+      const std::string_view line = rest.substr(0, eol);
+      rest = eol == std::string_view::npos ? std::string_view() :
+                                             rest.substr(eol);
       if (
-        (is_write && fields.size() != 3 && fields.size() != 2) ||
-        (is_delete && fields.size() != 2) || (!is_write && !is_delete))
+        line.size() < 2 || (line[0] != 'w' && line[0] != 'd') ||
+        line[1] != ' ')
       {
         return std::nullopt;
       }
-      const auto key = from_hex(fields[1]);
-      if (!key)
-      {
-        return std::nullopt;
-      }
+      const bool is_write = line[0] == 'w';
+      const std::string_view fields = line.substr(2);
+      const size_t sp = fields.find(' ');
       KeyWrite w;
-      w.key.assign(key->begin(), key->end());
+      if (!from_hex(fields.substr(0, sp), w.key))
+      {
+        return std::nullopt;
+      }
       if (is_write)
       {
         // "w <key>" with no third field encodes an empty value.
-        if (fields.size() == 3)
+        const std::string_view value = sp == std::string_view::npos ?
+          std::string_view() :
+          fields.substr(sp + 1);
+        if (!from_hex(value, w.value.emplace()))
         {
-          const auto value = from_hex(fields[2]);
-          if (!value)
-          {
-            return std::nullopt;
-          }
-          w.value = std::string(value->begin(), value->end());
+          return std::nullopt;
         }
-        else
-        {
-          w.value = std::string();
-        }
+      }
+      else if (sp != std::string_view::npos)
+      {
+        return std::nullopt;
       }
       ws.writes.push_back(std::move(w));
     }

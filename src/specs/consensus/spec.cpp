@@ -1,6 +1,7 @@
 #include "specs/consensus/spec.h"
 
 #include <algorithm>
+#include <bitset>
 
 #include "specs/consensus/symmetry.h"
 
@@ -799,16 +800,18 @@ namespace scv::specs::ccfraft
       {
         return;
       }
-      // One successor per distinct higher term observable in the network.
-      std::vector<uint8_t> terms;
+      // One successor per distinct higher term observable in the network,
+      // in first-occurrence order (the order successors, and so store ids,
+      // come out in). Terms are 8-bit: a 256-bit seen-set dedups them
+      // without allocating.
+      SmallVec<uint8_t, 16> terms;
+      std::bitset<256> seen;
       for (const auto& [msg, count] : s.network)
       {
-        if (msg.to == i && msg.term > nd.current_term)
+        if (msg.to == i && msg.term > nd.current_term && !seen[msg.term])
         {
-          if (std::find(terms.begin(), terms.end(), msg.term) == terms.end())
-          {
-            terms.push_back(msg.term);
-          }
+          seen.set(msg.term);
+          terms.push_back(msg.term);
         }
       }
       for (const uint8_t t : terms)

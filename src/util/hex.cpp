@@ -61,4 +61,24 @@ namespace scv
     }
     return out;
   }
+
+  bool from_hex(std::string_view hex, std::string& out)
+  {
+    if (hex.size() % 2 != 0)
+    {
+      return false;
+    }
+    out.resize(hex.size() / 2);
+    for (size_t i = 0; i < out.size(); ++i)
+    {
+      const int hi = nibble(hex[2 * i]);
+      const int lo = nibble(hex[2 * i + 1]);
+      if (hi < 0 || lo < 0)
+      {
+        return false;
+      }
+      out[i] = static_cast<char>((hi << 4) | lo);
+    }
+    return true;
+  }
 }

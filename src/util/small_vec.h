@@ -312,10 +312,12 @@ namespace scv
 
     /// The inline slots, or the heap block once the elements outgrow them.
     /// Only the first size_ slots hold objects; the members construct and
-    /// destroy them.
+    /// destroy them. The pointer starts null so no path reads it
+    /// uninitialized, even one the compiler cannot rule out (a value
+    /// holding a never-touched SmallVec, copied through a const&).
     union Storage
     {
-      Storage() {}
+      Storage() : heap(nullptr) {}
       ~Storage() {}
       T* heap;
       T items[N];

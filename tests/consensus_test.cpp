@@ -1,12 +1,16 @@
 // Unit tests for consensus building blocks: Ledger (append/truncate/Merkle
-// integration, signature scanning, agreement estimates), Configurations
-// (active sets, joint vs union quorums), and message serialization.
+// integration, signature scanning, agreement estimates, the Data-entry tx
+// ids through compaction and snapshots), TxIdRuns against
+// std::vector<TxId>, Configurations (active sets, joint vs union quorums),
+// and message serialization.
 #include <gtest/gtest.h>
 
 #include "consensus/configuration.h"
 #include "consensus/ledger.h"
 #include "consensus/messages.h"
+#include "consensus/txid_runs.h"
 #include "crypto/signer.h"
+#include "util/rng.h"
 
 using namespace scv;
 using namespace scv::consensus;
@@ -80,6 +84,213 @@ TEST(Ledger, TruncateDropsSuffixAndMerkleFollows)
   l.truncate(1);
   EXPECT_EQ(l.last_index(), 1u);
   EXPECT_EQ(l.root(), root1);
+}
+
+TEST(Ledger, DataTxidsSurviveCompactAndSnapshot)
+{
+  Ledger l;
+  l.append(data_entry(1, "a")); // 1: (1, 1)
+  l.append(sig_entry(1)); // 2
+  l.append(data_entry(2, "b")); // 3: (2, 2)
+  l.append(data_entry(2, "c")); // 4: (2, 3)
+  l.append(sig_entry(2)); // 5
+  l.append(data_entry(3, "d")); // 6: (3, 4)
+  const std::vector<TxId> ids = {{1, 1}, {2, 2}, {2, 3}, {3, 4}};
+  EXPECT_EQ(l.data_txids(), ids);
+  EXPECT_EQ(l.data_txids().runs().size(), 3u);
+
+  l.compact(2);
+  EXPECT_EQ(l.data_txids(), ids);
+  l.compact(5);
+  EXPECT_EQ(l.data_txids(), ids);
+
+  // A ledger rebuilt from the snapshot at 5 has the ids of its prefix,
+  // and appends continue the numbering.
+  std::vector<EntryMeta> meta;
+  for (Index i = 1; i <= 5; ++i)
+  {
+    meta.push_back({l.term_at(i), l.type_at(i)});
+  }
+  const std::vector<crypto::Digest> leaves(
+    l.leaves().begin(), l.leaves().begin() + 5);
+  Ledger restored = Ledger::from_snapshot(5, meta, leaves);
+  EXPECT_EQ(restored.data_txids(), l.data_txids().prefix(3));
+  restored.append(data_entry(3, "d"));
+  EXPECT_EQ(restored.data_txids(), l.data_txids());
+
+  // Truncation back to the hole drops the ids above it.
+  l.truncate(5);
+  EXPECT_EQ(l.data_txids(), (std::vector<TxId>{{1, 1}, {2, 2}, {2, 3}}));
+}
+
+namespace
+{
+  /// A random id sequence: mostly runs of consecutive indices with term
+  /// changes, plus gaps, repeats, backwards steps and forged ids (term or
+  /// index 0, huge values).
+  std::vector<TxId> random_ids(Rng& rng, size_t n)
+  {
+    std::vector<TxId> out;
+    TxId next{1, 1};
+    for (size_t i = 0; i < n; ++i)
+    {
+      const uint64_t roll = rng.below(100);
+      if (roll < 10)
+      {
+        next.term += 1 + rng.below(2);
+      }
+      else if (roll < 15)
+      {
+        next.index += rng.below(4);
+      }
+      else if (roll < 18)
+      {
+        next.index -= std::min<Index>(next.index, rng.below(3));
+      }
+      else if (roll < 20)
+      {
+        next = TxId{rng.below(2) == 0 ? 0 : ~Term{0}, rng.below(3)};
+      }
+      out.push_back(next);
+      next.index += 1;
+    }
+    return out;
+  }
+
+  TxIdRuns runs_of(const std::vector<TxId>& ids)
+  {
+    TxIdRuns out;
+    for (const TxId& id : ids)
+    {
+      out.push_back(id);
+    }
+    return out;
+  }
+
+  std::vector<TxId> head(const std::vector<TxId>& ids, size_t n)
+  {
+    return {ids.begin(), ids.begin() + static_cast<ptrdiff_t>(n)};
+  }
+}
+
+TEST(TxIdRuns, RoundTripsVectorsOnRandomSequences)
+{
+  Rng rng(7);
+  for (int trial = 0; trial < 300; ++trial)
+  {
+    const auto ids = random_ids(rng, rng.below(40));
+    const TxIdRuns runs = runs_of(ids);
+    ASSERT_EQ(runs.size(), ids.size());
+    EXPECT_EQ(runs.empty(), ids.empty());
+    EXPECT_EQ(std::vector<TxId>(runs.begin(), runs.end()), ids);
+    EXPECT_TRUE(runs == ids);
+    size_t in_runs = 0;
+    for (const auto& run : runs.runs())
+    {
+      EXPECT_GT(run.length, 0u);
+      in_runs += run.length;
+    }
+    EXPECT_EQ(in_runs, ids.size());
+
+    for (size_t n = 0; n <= ids.size(); ++n)
+    {
+      EXPECT_EQ(runs.prefix(n), head(ids, n)) << "prefix " << n;
+      TxIdRuns cut = runs;
+      cut.truncate(n);
+      EXPECT_EQ(cut, head(ids, n)) << "truncate " << n;
+      EXPECT_EQ(cut, runs_of(head(ids, n)));
+    }
+    if (!ids.empty())
+    {
+      auto changed = ids;
+      changed[rng.below(ids.size())].index += 1;
+      EXPECT_FALSE(runs == changed);
+      EXPECT_FALSE(runs == head(ids, ids.size() - 1));
+    }
+  }
+}
+
+TEST(TxIdRuns, SamePrefixMatchesElementwiseComparison)
+{
+  Rng rng(8);
+  for (int trial = 0; trial < 300; ++trial)
+  {
+    // Pairs that share a prefix and then (usually) diverge.
+    const auto common = random_ids(rng, rng.below(12));
+    auto a = common;
+    auto b = common;
+    const auto tail_a = random_ids(rng, rng.below(12));
+    const auto tail_b =
+      rng.below(3) == 0 ? tail_a : random_ids(rng, rng.below(12));
+    a.insert(a.end(), tail_a.begin(), tail_a.end());
+    b.insert(b.end(), tail_b.begin(), tail_b.end());
+    const TxIdRuns ra = runs_of(a);
+    const TxIdRuns rb = runs_of(b);
+    for (size_t n = 0; n <= std::min(a.size(), b.size()); ++n)
+    {
+      EXPECT_EQ(TxIdRuns::same_prefix(ra, rb, n), head(a, n) == head(b, n))
+        << "n " << n;
+      EXPECT_EQ(TxIdRuns::same_prefix(ra, rb, n), ra.prefix(n) == rb.prefix(n));
+    }
+  }
+}
+
+TEST(TxIdRuns, EqualityIsCanonical)
+{
+  // The same sequence reached by pushes, by a prefix, and by truncating
+  // then pushing has the same runs.
+  const std::vector<TxId> ids = {{1, 1}, {1, 2}, {1, 3}, {2, 4}, {2, 5}};
+  const TxIdRuns pushed = runs_of(ids);
+  const TxIdRuns longer =
+    runs_of({{1, 1}, {1, 2}, {1, 3}, {2, 4}, {2, 5}, {2, 6}});
+  TxIdRuns regrown = longer;
+  regrown.truncate(3);
+  regrown.push_back({2, 4});
+  regrown.push_back({2, 5});
+  EXPECT_EQ(longer.prefix(5), pushed);
+  EXPECT_EQ(regrown, pushed);
+  EXPECT_EQ(regrown.runs().size(), 2u);
+  EXPECT_TRUE(regrown.runs() == pushed.runs());
+
+  // Same length and terms, different ids: not equal.
+  EXPECT_NE(runs_of({{1, 1}, {1, 3}}), runs_of({{1, 1}, {1, 2}}));
+  EXPECT_NE(runs_of({{1, 1}, {2, 2}}), runs_of({{1, 1}, {1, 2}}));
+  // A non-consecutive id opens its own run.
+  EXPECT_EQ(runs_of({{1, 1}, {1, 3}}).runs().size(), 2u);
+  EXPECT_EQ(runs_of({{1, 2}, {1, 2}}).runs().size(), 2u);
+  EXPECT_EQ(TxIdRuns(), std::vector<TxId>{});
+}
+
+TEST(TxIdRuns, PrefixAndTruncateAtRunBoundaries)
+{
+  // Runs: (1, 1..3), (2, 4..5), (2, 7).
+  const TxIdRuns r = runs_of({{1, 1}, {1, 2}, {1, 3}, {2, 4}, {2, 5}, {2, 7}});
+  ASSERT_EQ(r.runs().size(), 3u);
+  EXPECT_EQ(r.prefix(0).runs().size(), 0u);
+  EXPECT_EQ(r.prefix(2).runs().size(), 1u);
+  EXPECT_EQ(r.prefix(3).runs().size(), 1u);
+  EXPECT_EQ(r.prefix(4).runs().size(), 2u);
+  EXPECT_EQ(r.prefix(5).runs().size(), 2u);
+  EXPECT_EQ(r.prefix(6), r);
+  EXPECT_EQ(r.prefix(3).runs().back().length, 3u);
+  EXPECT_EQ(r.prefix(4).runs().back(), (TxIdRuns::Run{2, 4, 1}));
+
+  TxIdRuns cut = r;
+  cut.truncate(5);
+  EXPECT_EQ(cut.runs().size(), 2u);
+  cut.push_back({2, 6}); // continues (2, 4..5)
+  EXPECT_EQ(cut.runs().size(), 2u);
+  EXPECT_EQ(cut.runs().back(), (TxIdRuns::Run{2, 4, 3}));
+  cut.truncate(0);
+  EXPECT_TRUE(cut.empty());
+  EXPECT_EQ(cut.begin(), cut.end());
+  cut.push_back({5, 9});
+  EXPECT_EQ(cut, (std::vector<TxId>{{5, 9}}));
+  cut.clear();
+  EXPECT_EQ(cut, TxIdRuns());
+
+  EXPECT_THROW((void)r.prefix(7), CheckFailure);
+  EXPECT_THROW(TxIdRuns(r).truncate(7), CheckFailure);
 }
 
 TEST(Ledger, SignatureScanning)

@@ -1,13 +1,16 @@
-// Unit tests for the crypto substrate: SHA-256 against NIST/FIPS vectors,
-// HMAC-SHA-256 against RFC 4231 vectors, Merkle tree structure, proofs,
-// truncation, and the mock signer.
+// Unit tests for the crypto substrate: SHA-256 against NIST/FIPS vectors
+// (through the portable and the SHA-NI block function alike, and the two
+// against each other), HMAC-SHA-256 against RFC 4231 vectors, Merkle tree
+// structure, proofs, truncation, and the mock signer.
 #include <gtest/gtest.h>
 
 #include "crypto/hmac.h"
 #include "crypto/merkle_tree.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_detail.h"
 #include "crypto/signer.h"
 #include "util/hex.h"
+#include "util/rng.h"
 
 using namespace scv;
 using namespace scv::crypto;
@@ -82,6 +85,168 @@ TEST(Sha256, ResetReusable)
   EXPECT_EQ(
     hex_of(h.finalize()),
     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+namespace
+{
+  namespace sha_detail = scv::crypto::detail;
+
+  Digest portable(const std::vector<uint8_t>& m)
+  {
+    return sha_detail::sha256_with(
+      sha_detail::blocks_portable, m.data(), m.size());
+  }
+
+  Digest sha_ni(const std::vector<uint8_t>& m)
+  {
+    return sha_detail::sha256_with(
+      sha_detail::blocks_sha_ni, m.data(), m.size());
+  }
+
+  std::vector<uint8_t> random_bytes(Rng& rng, size_t n)
+  {
+    std::vector<uint8_t> out(n);
+    for (auto& b : out)
+    {
+      b = static_cast<uint8_t>(rng.next());
+    }
+    return out;
+  }
+
+  /// The FIPS 180-4 / NIST example vectors as (message, digest).
+  std::vector<std::pair<std::vector<uint8_t>, std::string>> fips_vectors()
+  {
+    const auto bytes = [](std::string_view s) {
+      return std::vector<uint8_t>(s.begin(), s.end());
+    };
+    return {
+      {bytes(""),
+       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {bytes("abc"),
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {std::vector<uint8_t>(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+    };
+  }
+}
+
+TEST(Sha256Paths, PaddingMatchesFipsLayoutOnEveryLengthTo300)
+{
+  // FIPS 180-4 §5.1.1 padding built by hand (0x80, zeros up to 56 mod 64,
+  // the 64-bit big-endian bit length) and compressed block by block: an
+  // oracle for Sha256's buffering and finalize() that shares neither.
+  Rng rng(2029);
+  for (size_t n = 0; n <= 300; ++n)
+  {
+    const auto message = random_bytes(rng, n);
+    std::vector<uint8_t> padded = message;
+    padded.push_back(0x80);
+    while (padded.size() % 64 != 56)
+    {
+      padded.push_back(0);
+    }
+    for (int i = 7; i >= 0; --i)
+    {
+      padded.push_back(static_cast<uint8_t>((uint64_t{n} * 8) >> (8 * i)));
+    }
+    uint32_t state[8] = {
+      0x6a09e667,
+      0xbb67ae85,
+      0x3c6ef372,
+      0xa54ff53a,
+      0x510e527f,
+      0x9b05688c,
+      0x1f83d9ab,
+      0x5be0cd19};
+    sha_detail::blocks_portable(state, padded.data(), padded.size() / 64);
+    Digest expected{};
+    for (int i = 0; i < 32; ++i)
+    {
+      expected[i] = static_cast<uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+    }
+    EXPECT_EQ(sha256(message), expected) << n << " bytes";
+    EXPECT_EQ(portable(message), expected) << n << " bytes";
+  }
+}
+
+TEST(Sha256Paths, PortableMatchesFipsVectors)
+{
+  for (const auto& [message, digest] : fips_vectors())
+  {
+    EXPECT_EQ(hex_of(portable(message)), digest) << message.size() << " bytes";
+  }
+}
+
+TEST(Sha256Paths, ShaNiMatchesFipsVectors)
+{
+  if (!sha_detail::cpu_has_sha_ni())
+  {
+    GTEST_SKIP() << "this CPU has no SHA extensions";
+  }
+  for (const auto& [message, digest] : fips_vectors())
+  {
+    EXPECT_EQ(hex_of(sha_ni(message)), digest) << message.size() << " bytes";
+  }
+}
+
+TEST(Sha256Paths, ShaNiMatchesPortableOnEveryLengthTo300)
+{
+  if (!sha_detail::cpu_has_sha_ni())
+  {
+    GTEST_SKIP() << "this CPU has no SHA extensions";
+  }
+  Rng rng(2026);
+  for (size_t n = 0; n <= 300; ++n)
+  {
+    const auto message = random_bytes(rng, n);
+    EXPECT_EQ(sha_ni(message), portable(message)) << n << " bytes";
+  }
+}
+
+TEST(Sha256Paths, ShaNiMatchesPortableOnRandomMultiBlockMessages)
+{
+  if (!sha_detail::cpu_has_sha_ni())
+  {
+    GTEST_SKIP() << "this CPU has no SHA extensions";
+  }
+  Rng rng(2027);
+  for (int i = 0; i < 200; ++i)
+  {
+    const auto message = random_bytes(rng, 64 + rng.below(8192));
+    EXPECT_EQ(sha_ni(message), portable(message)) << message.size() << " bytes";
+  }
+}
+
+TEST(Sha256Paths, IncrementalUpdatesMatchPortableOneShot)
+{
+  // The default hasher (whichever block function this CPU selects) fed in
+  // random pieces: partial blocks buffer, whole blocks go straight
+  // through.
+  Rng rng(2028);
+  for (int i = 0; i < 200; ++i)
+  {
+    const auto message = random_bytes(rng, rng.below(1024));
+    Sha256 h;
+    size_t at = 0;
+    while (at < message.size())
+    {
+      const size_t piece = std::min<size_t>(
+        message.size() - at, static_cast<size_t>(rng.below(200)));
+      h.update(message.data() + at, piece);
+      at += piece;
+    }
+    EXPECT_EQ(h.finalize(), portable(message)) << message.size() << " bytes";
+  }
+}
+
+TEST(Sha256Paths, ActiveBlockFunctionFollowsCpuid)
+{
+  EXPECT_EQ(
+    sha_detail::active_blocks(),
+    sha_detail::cpu_has_sha_ni() ? sha_detail::blocks_sha_ni :
+                               sha_detail::blocks_portable);
 }
 
 // RFC 4231 test case 1.

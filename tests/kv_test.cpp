@@ -1,9 +1,15 @@
 // Unit tests for the KV store: versioned reads, commit/rollback semantics,
-// hook firing rules (ordered vs committed, prefix matching, ordering).
+// hook firing rules (ordered vs committed, prefix matching, ordering); and
+// the one-pass kvws1 payload decoder against the split-based decoder it
+// replaced, kept here as the oracle.
 #include <gtest/gtest.h>
 
 #include "kv/store.h"
+#include "kv/tx.h"
 #include "util/check.h"
+#include "util/hex.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 using namespace scv;
 using namespace scv::kv;
@@ -170,4 +176,188 @@ TEST(Store, HookReceivesWriteSet)
   const WriteSet ws = set_of("ccf.gov.nodes.info", "1,2");
   s.apply(ws);
   EXPECT_EQ(seen, ws);
+}
+
+namespace
+{
+  /// The split-based kvws1 decoder that decode_payload replaced: split the
+  /// payload into lines and each line into fields, hex-decode through
+  /// temporary vectors.
+  std::optional<WriteSet> oracle_decode(const std::string& payload)
+  {
+    if (payload != "kvws1" && !starts_with(payload, "kvws1\n"))
+    {
+      return std::nullopt;
+    }
+    WriteSet ws;
+    const auto lines = split(payload, '\n');
+    for (size_t i = 1; i < lines.size(); ++i)
+    {
+      const auto fields = split(lines[i], ' ');
+      const bool is_write = !fields.empty() && fields[0] == "w";
+      const bool is_delete = !fields.empty() && fields[0] == "d";
+      if (
+        (is_write && fields.size() != 3 && fields.size() != 2) ||
+        (is_delete && fields.size() != 2) || (!is_write && !is_delete))
+      {
+        return std::nullopt;
+      }
+      const auto key = from_hex(fields[1]);
+      if (!key)
+      {
+        return std::nullopt;
+      }
+      KeyWrite w;
+      w.key.assign(key->begin(), key->end());
+      if (is_write)
+      {
+        if (fields.size() == 3)
+        {
+          const auto value = from_hex(fields[2]);
+          if (!value)
+          {
+            return std::nullopt;
+          }
+          w.value = std::string(value->begin(), value->end());
+        }
+        else
+        {
+          w.value = std::string();
+        }
+      }
+      ws.writes.push_back(std::move(w));
+    }
+    return ws;
+  }
+
+  std::string random_text(Rng& rng, size_t max_len)
+  {
+    // Bytes the format must armor: spaces, newlines, NULs, high bytes.
+    static constexpr char alphabet[] = {
+      'a', 'k', '/', ' ', '\n', '\0', '\xff', '7'};
+    std::string out(rng.below(max_len + 1), ' ');
+    for (char& c : out)
+    {
+      c = alphabet[rng.below(sizeof(alphabet))];
+    }
+    return out;
+  }
+
+  WriteSet random_write_set(Rng& rng)
+  {
+    WriteSet ws;
+    const size_t n = rng.below(5);
+    for (size_t i = 0; i < n; ++i)
+    {
+      KeyWrite w;
+      w.key = random_text(rng, 8);
+      if (rng.below(4) != 0)
+      {
+        w.value = random_text(rng, 12);
+      }
+      ws.writes.push_back(std::move(w));
+    }
+    return ws;
+  }
+
+  void expect_same_decode(const std::string& payload)
+  {
+    EXPECT_EQ(decode_payload(payload), oracle_decode(payload))
+      << "payload: " << to_hex(
+                          reinterpret_cast<const uint8_t*>(payload.data()),
+                          payload.size());
+  }
+}
+
+TEST(KvPayloadDecode, ValidPayloadsRoundTripLikeTheOracle)
+{
+  Rng rng(11);
+  for (int i = 0; i < 500; ++i)
+  {
+    const WriteSet ws = random_write_set(rng);
+    const std::string payload = encode_payload(ws);
+    ASSERT_EQ(decode_payload(payload), ws);
+    expect_same_decode(payload);
+  }
+}
+
+TEST(KvPayloadDecode, TruncationsAgreeWithTheOracle)
+{
+  Rng rng(12);
+  for (int i = 0; i < 50; ++i)
+  {
+    const std::string payload = encode_payload(random_write_set(rng));
+    for (size_t n = 0; n <= payload.size(); ++n)
+    {
+      expect_same_decode(payload.substr(0, n));
+    }
+  }
+}
+
+TEST(KvPayloadDecode, ByteFlipsAgreeWithTheOracle)
+{
+  // Every position replaced by each byte that matters to the grammar
+  // (separators, kinds, hex digits of either case, non-hex), plus one
+  // inserted separator.
+  const std::string replacements = " \nwdx0aAfFgG\r";
+  Rng rng(13);
+  for (int i = 0; i < 20; ++i)
+  {
+    const std::string payload = encode_payload(random_write_set(rng));
+    for (size_t at = 0; at < payload.size(); ++at)
+    {
+      for (const char c : replacements)
+      {
+        std::string flipped = payload;
+        flipped[at] = c;
+        expect_same_decode(flipped);
+      }
+      std::string inserted = payload;
+      inserted.insert(at, 1, ' ');
+      expect_same_decode(inserted);
+    }
+  }
+}
+
+TEST(KvPayloadDecode, HandWrittenEdgesAgreeWithTheOracle)
+{
+  for (const std::string payload :
+       {"kvws1",
+        "kvws1\n",
+        "kvws1\n\n",
+        "kvws10",
+        "kvws",
+        "Kvws1\nw 00",
+        "kvws1\nw",
+        "kvws1\nw ",
+        "kvws1\nw  ",
+        "kvws1\nw 6b",
+        "kvws1\nw 6b ",
+        "kvws1\nw 6B 7A",
+        "kvws1\nw 6b 7a 7a",
+        "kvws1\nw 6b 7",
+        "kvws1\nd",
+        "kvws1\nd ",
+        "kvws1\nd 6b",
+        "kvws1\nd 6b ",
+        "kvws1\nd 6b 7a",
+        "kvws1\nx 6b",
+        "kvws1\nww 6b",
+        "kvws1\nw 6b\r",
+        "kvws1\nw 6b\nd 6b\nw 6b 00"})
+  {
+    expect_same_decode(payload);
+  }
+}
+
+TEST(KvPayloadDecode, LegacyOpaqueBlobsAreNotWriteSets)
+{
+  // Data entries that predate the kv encoding (the scenario runner's
+  // plain payloads) apply as the positional app.<idx> cell.
+  for (const std::string payload : {"", "hello", "app.3", "x", "kvws2\nw 00"})
+  {
+    EXPECT_FALSE(is_kv_payload(payload));
+    EXPECT_EQ(decode_payload(payload), std::nullopt);
+    expect_same_decode(payload);
+  }
 }

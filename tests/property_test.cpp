@@ -250,7 +250,7 @@ INSTANTIATE_TEST_SUITE_P(
   Seeds, MerklePropertyTest, ::testing::Values(1, 2, 3, 4, 5));
 
 // ---------------------------------------------------------------------------
-// Ledger Data-entry index vs a naive type_at scan, under random
+// Ledger Data-entry index and tx ids vs a naive type_at scan, under random
 // append/truncate/compact interleavings and snapshot rebuilds.
 // ---------------------------------------------------------------------------
 
@@ -272,11 +272,14 @@ namespace
         std::upper_bound(naive.begin(), naive.end(), i) - naive.begin());
       ASSERT_EQ(ledger.data_count_upto(i), count) << "op " << op << " idx " << i;
     }
+    std::vector<TxId> txids;
     for (size_t k = 1; k <= naive.size(); ++k)
     {
       ASSERT_EQ(ledger.data_index(k), naive[k - 1]) << "op " << op << " k " << k;
+      txids.push_back(TxId{ledger.term_at(naive[k - 1]), k});
     }
     EXPECT_THROW((void)ledger.data_index(naive.size() + 1), CheckFailure);
+    ASSERT_EQ(ledger.data_txids(), txids) << "op " << op;
   }
 }
 

@@ -270,3 +270,246 @@ TEST(SessionApp, AbortedBodyReplicatesNothing)
   EXPECT_EQ(session.history().size(), history_before);
   EXPECT_EQ(c.node(1).ledger().last_index(), ledger_before);
 }
+
+// ---------------------------------------------------------------------------
+// Run-length observed lists against the element-wise code they replaced:
+// every response's `observed` against a rebuild from the responding node's
+// ledger, and every poll against the old element-wise comparison, through
+// a partitioned leader's truncated suffix, INVALID resubmits, and a
+// leader crash and restart.
+// ---------------------------------------------------------------------------
+
+namespace
+{
+  /// Application ids of `ledger`'s Data entries up to `upto`, rebuilt one
+  /// by one.
+  std::vector<TxId> rebuild_app_txids(
+    const consensus::Ledger& ledger, Index upto)
+  {
+    std::vector<TxId> out;
+    for (size_t k = 1; k <= ledger.data_count_upto(upto); ++k)
+    {
+      out.push_back(TxId{ledger.term_at(ledger.data_index(k)), k});
+    }
+    return out;
+  }
+
+  const ClientEvent* response_of(const Session& s, uint64_t seq)
+  {
+    for (const auto& ev : s.history())
+    {
+      if (
+        ev.client_seq == seq &&
+        (ev.kind == ClientEventKind::RwRes ||
+         ev.kind == ClientEventKind::RoRes))
+      {
+        return &ev;
+      }
+    }
+    return nullptr;
+  }
+
+  /// Session::poll's status as the element-wise code computed it.
+  TxStatus elementwise_poll(
+    const Session& s, uint64_t seq, const consensus::RaftNode& node)
+  {
+    const ClientEvent* res = response_of(s, seq);
+    if (res == nullptr)
+    {
+      return TxStatus::Unknown;
+    }
+    const auto& ledger = node.ledger();
+    const auto committed = [&](size_t k) {
+      return TxId{ledger.term_at(ledger.data_index(k)), k};
+    };
+    const size_t at = res->txid.index;
+    if (ledger.data_count_upto(node.commit_index()) < at)
+    {
+      return TxStatus::Pending;
+    }
+    const std::vector<TxId> observed(
+      res->observed.begin(), res->observed.end());
+    bool matches = true;
+    for (size_t k = 1; matches && k <= observed.size() && k <= at; ++k)
+    {
+      matches = committed(k) == observed[k - 1];
+    }
+    if (res->kind == ClientEventKind::RwRes && matches)
+    {
+      matches = at >= 1 && committed(at) == res->txid;
+    }
+    return matches ? TxStatus::Committed : TxStatus::Invalid;
+  }
+
+  class OracleClient
+  {
+  public:
+    OracleClient(Cluster& c, Session& s) : c_(c), s_(s) {}
+
+    /// A read-write transaction on `server` (default: the leader); checks
+    /// its response against the rebuild.
+    std::optional<uint64_t> rw(
+      const std::string& payload, std::optional<NodeId> server = std::nullopt)
+    {
+      const auto target = server ? server : c_.find_leader();
+      const auto seq = s_.submit_rw(payload, target);
+      if (seq && s_.raw_txid_of(*seq))
+      {
+        const ClientEvent* res = response_of(s_, *seq);
+        EXPECT_NE(res, nullptr);
+        if (res != nullptr)
+        {
+          EXPECT_EQ(
+            res->observed,
+            rebuild_app_txids(
+              c_.node(*target).ledger(), s_.raw_txid_of(*seq)->index - 1))
+            << "rw " << *seq;
+        }
+        seqs_.push_back(*seq);
+      }
+      return seq;
+    }
+
+    /// A read-only transaction on `server` (default: the leader); checks
+    /// its response.
+    void ro(std::optional<NodeId> server = std::nullopt)
+    {
+      const auto target = server ? server : c_.find_leader();
+      if (!target)
+      {
+        return;
+      }
+      const auto seq = s_.submit_ro(target);
+      ASSERT_TRUE(seq.has_value());
+      const ClientEvent* res = response_of(s_, *seq);
+      ASSERT_NE(res, nullptr);
+      const auto& ledger = c_.node(*target).ledger();
+      EXPECT_EQ(res->observed, rebuild_app_txids(ledger, ledger.last_index()))
+        << "ro " << *seq;
+      seqs_.push_back(*seq);
+    }
+
+    /// Polls every transaction on every live node, each against the
+    /// element-wise status; returns the statuses seen on the leader.
+    std::vector<TxStatus> poll_all()
+    {
+      std::vector<TxStatus> on_leader;
+      const auto leader = c_.find_leader();
+      for (const uint64_t seq : seqs_)
+      {
+        for (const NodeId id : c_.node_ids())
+        {
+          if (c_.crashed(id))
+          {
+            continue;
+          }
+          const TxStatus expected = elementwise_poll(s_, seq, c_.node(id));
+          const TxStatus got = s_.poll(seq, id);
+          EXPECT_EQ(got, expected) << "seq " << seq << " on node " << id;
+          if (leader && id == *leader)
+          {
+            on_leader.push_back(got);
+          }
+          polls_ += 1;
+        }
+      }
+      return on_leader;
+    }
+
+    [[nodiscard]] size_t polls() const
+    {
+      return polls_;
+    }
+
+  private:
+    Cluster& c_;
+    Session& s_;
+    std::vector<uint64_t> seqs_;
+    size_t polls_ = 0;
+  };
+}
+
+TEST(SessionObservedRuns, MatchElementwiseRebuildAcrossTruncationAndCrash)
+{
+  ClusterOptions o = three_nodes(421);
+  o.node_template.check_quorum_interval = 0;
+  Cluster c(o);
+  Session session(c, SessionOptions{2});
+  OracleClient client(c, session);
+
+  for (int i = 0; i < 5; ++i)
+  {
+    ASSERT_TRUE(client.rw("base" + std::to_string(i)).has_value());
+    client.ro();
+  }
+  client.poll_all();
+  session.flush();
+  settle(c);
+  client.poll_all();
+
+  // The partitioned leader keeps answering in its old term; those
+  // transactions, and the reads that observed them, are truncated once
+  // the majority's new leader wins.
+  c.partition({1}, {2, 3});
+  std::vector<std::string> doomed;
+  for (int i = 0; i < 3; ++i)
+  {
+    doomed.push_back("doomed" + std::to_string(i));
+    ASSERT_TRUE(client.rw(doomed.back(), NodeId{1}).has_value());
+    client.ro(NodeId{1});
+  }
+  session.sign();
+  client.poll_all();
+  settle(c, 150);
+  const auto leader = c.find_leader();
+  ASSERT_TRUE(leader.has_value());
+  ASSERT_NE(*leader, 1u);
+  for (int i = 0; i < 3; ++i)
+  {
+    ASSERT_TRUE(client.rw("winner" + std::to_string(i)).has_value());
+    client.ro();
+  }
+  session.flush();
+  settle(c, 100);
+  c.heal();
+  settle(c, 100);
+  const auto after_heal = client.poll_all();
+  EXPECT_NE(
+    std::find(after_heal.begin(), after_heal.end(), TxStatus::Invalid),
+    after_heal.end());
+
+  // Resubmit what came back INVALID, then crash the leader mid-batch.
+  for (const auto& payload : doomed)
+  {
+    ASSERT_TRUE(client.rw(payload).has_value());
+  }
+  client.ro();
+  const auto crashed = c.find_leader();
+  ASSERT_TRUE(crashed.has_value());
+  c.crash(*crashed);
+  settle(c, 200);
+  ASSERT_TRUE(c.find_leader().has_value());
+  for (int i = 0; i < 4; ++i)
+  {
+    ASSERT_TRUE(client.rw("after_crash" + std::to_string(i)).has_value());
+    client.ro();
+  }
+  client.poll_all();
+  c.restart(*crashed);
+  session.flush();
+  settle(c, 200);
+  const auto final_statuses = client.poll_all();
+  EXPECT_NE(
+    std::find(
+      final_statuses.begin(), final_statuses.end(), TxStatus::Committed),
+    final_statuses.end());
+  EXPECT_GT(client.polls(), 100u);
+
+  // Later terms split the observed lists into runs.
+  const auto& last = session.history();
+  const auto longest = std::max_element(
+    last.begin(), last.end(), [](const ClientEvent& a, const ClientEvent& b) {
+      return a.observed.runs().size() < b.observed.runs().size();
+    });
+  EXPECT_GE(longest->observed.runs().size(), 2u);
+}

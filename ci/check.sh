@@ -47,19 +47,6 @@ echo "=== release campaign smoke (30s box) ==="
 echo "=== tsan campaign smoke (10s box, threads=4) ==="
 ./build-tsan/examples/campaign_demo --seconds=10 --threads=4
 
-# Fingerprint-only campaign smoke: the same portfolio with --store=fp
-# switches every store (shared coverage + the validator's BFS search) to
-# fingerprint-only dedup with body dropping. The demo's own invariants
-# (all phases ran, union within [max, sum]) now gate the mode's
-# correctness end to end; the model is small enough that a 64-bit
-# collision is implausible, so the counts must match the full-mode run
-# above. TSan gets the parallel engines so the frontier-body map and
-# barrier drops race-check against concurrent inserts.
-echo "=== release campaign smoke, fingerprint-only store ==="
-./build-release/examples/campaign_demo --seconds=30 --store=fp
-echo "=== tsan campaign smoke, fingerprint-only store (threads=4) ==="
-./build-tsan/examples/campaign_demo --seconds=10 --threads=4 --store=fp
-
 # Symmetry-reduction smoke: the ablation bench model-checks the consensus
 # spec exhaustively with canonical-under-node-permutation fingerprinting
 # ON vs OFF and exits non-zero unless the verdicts are identical AND the
@@ -151,8 +138,8 @@ echo "=== release smallbank serving soak (100k ticks, 672 MiB cap) ==="
 # run here too: state serialization copies packed runs with memcpy, the
 # digest reads unaligned 8-byte words, and the one-worker DFS reuses its
 # frames across descents. So do the checker suites: successors are moved
-# through the engines, and the store's body arena constructs and destroys
-# bodies by hand. And the serving suites: the SHA-256 block functions
+# through the engines, and the checker's level arenas construct and
+# destroy bodies by hand. And the serving suites: the SHA-256 block functions
 # (portable and SHA-NI, cross-checked in crypto_test), the run-length
 # observation lists (TxIdRuns in consensus_test, against the element-wise
 # oracle in session_test) and the one-pass kvws1 decoder (kv_test).
@@ -182,9 +169,10 @@ for t in raft_node_test scenario_dsl_test scenario_test e2e_test \
 done
 
 # ASan over the suites doing manual memory work: the state store (slab
-# blocks handed to mmap'd spill files, bodies freed behind the frontier,
-# record views into frozen arenas, bodies constructed and destroyed by
-# hand in raw arena chunks), ByteSink and the packed consensus encoder
+# blocks handed to mmap'd spill files, record views into frozen arenas),
+# the checker's level arenas (bodies constructed and destroyed by hand in
+# raw chunks that are reset and reused every other level, in
+# statestore_test, parallel_spec_test and campaign_test), ByteSink and the packed consensus encoder
 # (memcpy into a grown buffer), SmallVec (elements constructed and
 # destroyed by hand in inline slots and heap blocks), the one-worker DFS
 # (frames reused across descents, the witness moved out of them), the
@@ -207,11 +195,13 @@ echo "=== build build-asan (memory-heavy suites) ==="
 cmake --build build-asan -j "${JOBS}" --target statestore_test util_test \
   trace_validation_test validator_golden_test checker_golden_test \
   consensus_spec_test spec_framework_test alloc_budget_test symmetry_test \
-  crypto_test consensus_test session_test kv_test
+  crypto_test consensus_test session_test kv_test campaign_test \
+  parallel_spec_test
 for t in statestore_test util_test trace_validation_test \
   validator_golden_test checker_golden_test consensus_spec_test \
   spec_framework_test alloc_budget_test symmetry_test \
-  crypto_test consensus_test session_test kv_test; do
+  crypto_test consensus_test session_test kv_test campaign_test \
+  parallel_spec_test; do
   echo "--- ${t} (asan) ---"
   "./build-asan/tests/${t}"
 done

@@ -3,7 +3,7 @@
 // session over ONE shared state store and ONE wall-clock box.
 //
 //   ./campaign_demo [--seconds=S] [--threads=N] [--check-cap=STATES]
-//                   [--store=full|fp] [--symmetry]
+//                   [--symmetry]
 //
 // The campaign runs its three phases in exhaustive-first order:
 //   1. BFS model checking of a bounded consensus model. A complete check
@@ -41,7 +41,6 @@ int main(int argc, char** argv)
   unsigned threads = 1;
   uint64_t check_cap = 0;
   bool symmetry = false;
-  spec::StoreMode store_mode = spec::StoreMode::full;
   for (int i = 1; i < argc; ++i)
   {
     if (std::strncmp(argv[i], "--seconds=", 10) == 0)
@@ -56,14 +55,6 @@ int main(int argc, char** argv)
     {
       check_cap = std::strtoull(argv[i] + 12, nullptr, 10);
     }
-    else if (std::strcmp(argv[i], "--store=full") == 0)
-    {
-      store_mode = spec::StoreMode::full;
-    }
-    else if (std::strcmp(argv[i], "--store=fp") == 0)
-    {
-      store_mode = spec::StoreMode::fingerprint_only;
-    }
     else if (std::strcmp(argv[i], "--symmetry") == 0)
     {
       symmetry = true;
@@ -73,7 +64,7 @@ int main(int argc, char** argv)
       std::fprintf(
         stderr,
         "usage: %s [--seconds=S] [--threads=N] [--check-cap=STATES]\n"
-        "          [--store=full|fp] [--symmetry]\n",
+        "          [--symmetry]\n",
         argv[0]);
       return 2;
     }
@@ -124,13 +115,6 @@ int main(int argc, char** argv)
   copts.sim.threads = threads;
   copts.sim.seed = 7;
   copts.sim.max_depth = 60;
-  // --store=fp runs the whole portfolio fingerprint-only: the shared
-  // coverage store AND the validator's private BFS search store, so the
-  // campaign invariants below double as a golden check of that mode.
-  copts.store.mode = store_mode;
-  copts.check.store.mode = store_mode;
-  copts.sim.store.mode = store_mode;
-  copts.validate.store.mode = store_mode;
   // --symmetry dedups the checker and simulator modulo node permutation
   // (docs/SPEC.md "Symmetry reduction"); the validator always keys its
   // coverage by concrete states, so its contribution is unchanged.

@@ -46,6 +46,8 @@ namespace scv::spec
          {"seeded_states", p.stats.seeded_states},
          {"canonicalized_states", p.stats.canonicalized_states},
          {"symmetry_hits", p.stats.symmetry_hits},
+         {"fp_collision_probability", p.stats.fp_collision_probability},
+         {"peak_frontier_bytes", p.stats.peak_frontier_bytes},
          {"complete", p.stats.complete}}));
     }
     return json::object(

@@ -14,9 +14,9 @@
 //   * Cross-engine seeding. A checker cut short by its budget exports its
 //     unexpanded BFS frontier; the simulator starts its walks there
 //     instead of at the initial states — random deepening exactly where
-//     exhaustive search stopped. Conversely, a simulation run before the
-//     checker leaves its discoveries in the store, and the checker's
-//     frontier-batched BFS seeds from them.
+//     exhaustive search stopped. The store keeps no state bodies, so the
+//     other direction does not exist: the checker runs first, on an
+//     empty store, and refuses a store other engines already filled.
 //   * A TimeBox scheduler. One wall-clock budget is split across the
 //     phases by weight, rebalanced at each phase start: an early phase
 //     that exhausts its state space under its allotment automatically
@@ -177,12 +177,8 @@ namespace scv::spec
       /// registered nemesis phase then runs on whatever the earlier
       /// phases left of the box.
       double nemesis_weight = 0.0;
-      /// The shared store's storage mode, byte ceiling and spill
-      /// directory (docs/SPEC.md "Store modes"). Fingerprint-only
-      /// campaigns drop state bodies once states leave each engine's
-      /// frontier, so cross-engine seeding only draws from body-live
-      /// records and counterexamples on cross-engine chains may be
-      /// partial (verdicts are unaffected).
+      /// The shared store's byte ceiling and spill directory
+      /// (docs/SPEC.md "State store").
       StoreOptions store;
       /// Engine knobs. time_budget_seconds in each is combined with the
       /// phase allotment by min(), so it only matters when tighter.
@@ -211,7 +207,7 @@ namespace scv::spec
     explicit Campaign(const SpecDef<S>& spec, Options options = {}) :
       spec_(spec),
       options_(options),
-      store_(shards_for(options), store_options_for(options)),
+      store_(shards_for(options), options.store),
       box_(
         options.total_seconds,
         {options.check_weight,
@@ -257,8 +253,10 @@ namespace scv::spec
       return report();
     }
 
-    /// Phase 1: exhaustive BFS over the shared store. An incomplete run
-    /// (budget cut) leaves its unexpanded frontier for the simulator.
+    /// Phase 1: exhaustive BFS over the shared store, which must still be
+    /// empty (ModelChecker::attach_store() throws CheckFailure
+    /// otherwise). An incomplete run (budget cut) leaves its unexpanded
+    /// frontier for the simulator.
     CheckResult<S> run_checker()
     {
       const double allot = box_.begin_phase();
@@ -417,21 +415,6 @@ namespace scv::spec
     }
 
   private:
-    /// The shared store must dedup by fingerprint alone when any spec
-    /// engine canonicalizes (orbit siblings share a canonical fingerprint
-    /// but differ under operator== — store_options.h). The validator's
-    /// coverage tap stays concrete-keyed; mixing concrete and canonical
-    /// keys in one store is fine because dedup is per-key.
-    static StoreOptions store_options_for(const Options& options)
-    {
-      StoreOptions opts = options.store;
-      if (options.check.symmetry || options.sim.symmetry)
-      {
-        opts.dedup_by_fingerprint = true;
-      }
-      return opts;
-    }
-
     static size_t shards_for(const Options& options)
     {
       const unsigned workers = std::max(

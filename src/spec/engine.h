@@ -82,10 +82,10 @@ namespace scv::spec
     /// for its search — trace lines name concrete identities.
     bool symmetry = false;
     /// State-store knobs for the engine's private store (docs/SPEC.md
-    /// "Store modes"): full vs fingerprint-only retention, the byte
-    /// ceiling (crossing it ends the run like an exhausted budget), and
-    /// the optional spill directory. Engines attached to a shared
-    /// campaign store use the campaign's store options instead.
+    /// "State store"): the byte ceiling (crossing it ends the run like an
+    /// exhausted budget) and the optional spill directory. Engines
+    /// attached to a shared campaign store use the campaign's store
+    /// options instead.
     StoreOptions store;
 
     /// Assembles the exploration-core budget from the shared deadline and

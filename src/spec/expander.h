@@ -16,9 +16,7 @@
 
 #include <array>
 #include <atomic>
-#include <concepts>
 #include <functional>
-#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -107,41 +105,20 @@ namespace scv::spec
       return origin_;
     }
 
-    /// Fingerprint-first insert into a store: dedup and predecessor
-    /// bookkeeping in one call. `worker` is the caller's worker index
-    /// (the store's body arena and the symmetry counter slot). An rvalue
-    /// `state` is moved into the store only if it is admitted; a
-    /// duplicate leaves it as it was.
-    template <class T>
-      requires std::same_as<std::remove_cvref_t<T>, S>
+    /// Records `state` in a store under its dedup key, with predecessor
+    /// bookkeeping and this engine's origin tag. `worker` is the caller's
+    /// worker index (the symmetry counter slot). The store keeps no body:
+    /// a caller that needs the state later keeps it itself.
     [[nodiscard]] typename ShardedStateStore<S>::InsertResult admit(
       ShardedStateStore<S>& store,
-      T&& state,
-      typename ShardedStateStore<S>::Id parent,
-      uint32_t action,
-      uint32_t depth,
-      unsigned worker = 0) const
-    {
-      const uint64_t fp = fingerprint_of(state, worker);
-      return store.insert(
-        std::forward<T>(state), fp, parent, action, depth, origin_, worker);
-    }
-
-    /// Same, but keyed by a caller-salted fingerprint (the trace validator
-    /// scopes dedup per line by salting with the line number).
-    template <class T>
-      requires std::same_as<std::remove_cvref_t<T>, S>
-    [[nodiscard]] typename ShardedStateStore<S>::InsertResult admit_keyed(
-      ShardedStateStore<S>& store,
-      T&& state,
-      uint64_t key,
+      const S& state,
       typename ShardedStateStore<S>::Id parent,
       uint32_t action,
       uint32_t depth,
       unsigned worker = 0) const
     {
       return store.insert(
-        std::forward<T>(state), key, parent, action, depth, origin_, worker);
+        fingerprint_of(state, worker), parent, action, depth, origin_);
     }
 
     /// Fault expander (e.g. "drop any one in-flight message"), composed

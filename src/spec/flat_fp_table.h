@@ -11,10 +11,10 @@
 // Layout: two parallel arrays (fps_, locals_) rather than one struct array,
 // so a slot costs exactly 12 bytes instead of 16 with alignment padding.
 // A slot is empty iff its local is empty_slot; fingerprints of empty slots
-// are never read. Duplicate fingerprints are allowed (full-state stores
-// keep one entry per *state*, so genuine 64-bit collisions become multiple
-// entries with the same fingerprint); find() visits all of them in probe
-// order. There is no deletion — exploration stores only grow, then clear.
+// are never read. Duplicate fingerprints are allowed (the store checks
+// first() before it inserts, so it keeps one entry per fingerprint);
+// find() visits all of them in probe order. There is no deletion —
+// exploration stores only grow, then clear.
 //
 // The home slot uses the *high* bits of a Fibonacci-mixed fingerprint:
 // shard selection already consumes the low bits of (fp ^ fp >> 32), so
@@ -89,8 +89,8 @@ namespace scv::spec
       }
     }
 
-    /// First entry with this fingerprint, or empty_slot. The
-    /// fingerprint-only store's whole dedup check.
+    /// First entry with this fingerprint, or empty_slot. The store's
+    /// whole dedup check.
     [[nodiscard]] uint32_t first(uint64_t fp) const
     {
       uint32_t found = empty_slot;

@@ -10,11 +10,14 @@
 // One kernel, one entry point: ModelChecker::check() (and the free
 // function model_check()) run frontier-batched BFS over a WorkerPool of
 // CheckLimits::threads workers and a sharded fingerprint store — TLC's
-// multi-worker exploration model. All states at depth d form one work
-// vector of pointers to the bodies the store holds; workers claim items
-// with an atomic cursor, expand actions, admit successors into their own
-// body arenas, and collect the next frontier in per-worker vectors
-// concatenated at the level barrier.
+// multi-worker exploration model. The store keeps fingerprints and
+// predecessor links only; the frontier owns the state bodies. Each worker
+// admits successors into its own level arena (one for even depths, one
+// for odd) and lists them in its own item vector. The states at depth d
+// are the workers' depth-d vectors read in worker order through prefix
+// offsets; workers claim them with an atomic cursor. When level d + 1
+// starts, each worker resets its level-d arena and keeps the chunks, so a
+// body lives for two levels in warm, reused memory.
 //   * threads = 1 is one worker inline on the caller over one dense
 //     shard: each level drains in insertion order, the classic FIFO BFS
 //     queue — shortest counterexamples, bit-identical results.
@@ -22,15 +25,18 @@
 //     workers) and, because levels are processed in order, the reported
 //     trace is *level-minimal*. The explored set does not depend on N.
 //
+// Counterexamples are rebuilt by exact replay of the recorded action
+// chain (ShardedStateStore::reconstruct_path), as TLC does.
+//
 // Campaign mode (campaign.h): attach_store() points the checker at a
-// shared ShardedStateStore instead of its private one. States already in
-// the store (another engine's discoveries) seed the BFS frontier, every
+// shared, empty ShardedStateStore instead of its private one. Every
 // admission is tagged with the checker's EngineId, and the unexpanded
 // frontier of a budget-cut run is exported for the next engine to seed
 // from (take_frontier()).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -44,6 +50,7 @@
 #include "spec/spec.h"
 #include "spec/stats.h"
 #include "spec/worker_pool.h"
+#include "util/check.h"
 
 namespace scv::spec
 {
@@ -71,70 +78,80 @@ namespace scv::spec
     std::optional<Counterexample<S>> counterexample;
   };
 
-  /// Rebuilds the path from an initial state to `id` as a counterexample.
-  /// Full-mode stores read the predecessor chain's bodies directly (the
-  /// historical behavior, bit-identical); fingerprint-only stores replay
-  /// the recorded action chain from spec.init through the spec's actions
-  /// (ShardedStateStore::reconstruct_path). When the replay cannot
-  /// reproduce the chain — e.g. a campaign chain rooted at another
-  /// engine's seed rather than an initial state — the counterexample
-  /// falls back to the deepest suffix whose bodies are still live (at
-  /// minimum the violating state itself, which never left the frontier).
-  /// Callers must ensure no concurrent inserts (see ShardedStateStore's
-  /// contract).
-  template <SpecState S>
-  Counterexample<S> reconstruct_counterexample(
-    const ShardedStateStore<S>& store,
-    const SpecDef<S>& spec,
-    typename ShardedStateStore<S>::Id id,
-    const std::string& property)
+  /// One checker worker's state bodies for one BFS level, constructed in
+  /// place in chunks of raw storage (1024 bodies per chunk, so one
+  /// allocation per 1024 states) that never move: frontier items carry
+  /// plain pointers. reset() destroys the bodies and keeps the chunks for
+  /// the level after next.
+  template <class S>
+  class LevelArena
   {
-    using Store = ShardedStateStore<S>;
-    Counterexample<S> cex;
-    cex.property = property;
+  public:
+    static constexpr size_t chunk_bodies = 1024;
+    static constexpr size_t chunk_bytes = chunk_bodies * sizeof(S);
 
-    // The chain target first: each step's action name, and the bodies
-    // still live from the target back (all of them in full mode).
-    std::vector<std::string> names;
-    std::vector<const S*> live;
-    for (auto cur = id;;)
+    LevelArena() = default;
+    LevelArena(const LevelArena&) = delete;
+    LevelArena& operator=(const LevelArena&) = delete;
+
+    ~LevelArena()
     {
-      const auto r = store.record(cur);
-      names.push_back(
-        r.action == Store::init_action ? "<init>" :
-                                         spec.actions[r.action].name);
-      if (r.body != nullptr && live.size() + 1 == names.size())
-      {
-        live.push_back(r.body);
-      }
-      if (r.parent == Store::no_parent)
-      {
-        break;
-      }
-      cur = r.parent;
+      release();
     }
 
-    const auto path = store.reconstruct_path(
-      id,
-      spec.init,
-      [&](const S& s, uint32_t action, uint32_t, const Emit<S>& emit) {
-        spec.actions[action].expand(s, emit);
-      });
-    if (path.has_value() && path->size() == names.size())
+    S* emplace(S&& state)
     {
-      for (size_t i = 0; i < names.size(); ++i)
+      if (size_ == chunks_.size() * chunk_bodies)
       {
-        cex.steps.push_back({names[names.size() - 1 - i], (*path)[i]});
+        chunks_.push_back(std::allocator<S>{}.allocate(chunk_bodies));
+        bytes_.store(chunks_.size() * chunk_bytes, std::memory_order_relaxed);
       }
-      return cex;
+      S* slot = chunks_[size_ / chunk_bodies] + size_ % chunk_bodies;
+      std::construct_at(slot, std::move(state));
+      ++size_;
+      return slot;
     }
-    // Fallback: the live-body suffix of the chain.
-    for (size_t i = live.size(); i-- > 0;)
+
+    /// Bodies constructed since the last reset().
+    [[nodiscard]] size_t size() const
     {
-      cex.steps.push_back({names[i], *live[i]});
+      return size_;
     }
-    return cex;
-  }
+
+    /// Chunk bytes held. Wait-free, so other workers may poll it.
+    [[nodiscard]] size_t bytes() const
+    {
+      return bytes_.load(std::memory_order_relaxed);
+    }
+
+    /// Destroys every body; the chunks stay for reuse.
+    void reset()
+    {
+      for (size_t c = 0; c * chunk_bodies < size_; ++c)
+      {
+        std::destroy_n(
+          chunks_[c], std::min(chunk_bodies, size_ - c * chunk_bodies));
+      }
+      size_ = 0;
+    }
+
+    /// Destroys every body and frees every chunk.
+    void release()
+    {
+      reset();
+      for (S* chunk : chunks_)
+      {
+        std::allocator<S>{}.deallocate(chunk, chunk_bodies);
+      }
+      std::vector<S*>().swap(chunks_);
+      bytes_.store(0, std::memory_order_relaxed);
+    }
+
+  private:
+    std::vector<S*> chunks_;
+    size_t size_ = 0;
+    std::atomic<size_t> bytes_{0};
+  };
 
   template <SpecState S>
   class ModelChecker
@@ -149,12 +166,16 @@ namespace scv::spec
     }
 
     /// Campaign mode: run over `store` (shared with other engines, never
-    /// cleared) instead of a private store. Existing records seed the BFS
-    /// frontier; admissions are tagged `origin`. The store must outlive
-    /// the checker, and no other engine may touch it during check().
+    /// cleared) instead of a private store; admissions are tagged
+    /// `origin`. The store must be empty: it keeps no bodies, so states
+    /// another engine admitted could not be expanded, and the BFS would
+    /// report a complete check of a space it never explored. Throws
+    /// CheckFailure on a non-empty store. The store must outlive the
+    /// checker, and no other engine may touch it before check() returns.
     void attach_store(
       ShardedStateStore<S>* store, EngineId origin = EngineId::Checker)
     {
+      require_empty(*store);
       external_ = store;
       expander_.set_origin(static_cast<uint8_t>(origin));
     }
@@ -171,17 +192,14 @@ namespace scv::spec
         // to the same stripe; one worker keeps a single dense shard.
         owned_ = std::make_unique<Store>(
           pool.size() == 1 ? 1 : 16 * static_cast<size_t>(pool.size()),
-          store_options());
+          limits_.store);
       }
-      store().reserve_arenas(pool.size());
-      CheckResult<S> result = search(pool);
-      if (owned_ != nullptr)
+      else
       {
-        // Teardown in parallel: each worker frees the bodies it admitted,
-        // on the thread whose allocator cache they came from.
-        pool.run([&](unsigned w) { owned_->release_arena(w); });
-        owned_.reset();
+        require_empty(*external_);
       }
+      CheckResult<S> result = search(pool);
+      owned_.reset();
       return result;
     }
 
@@ -202,30 +220,15 @@ namespace scv::spec
       return external_ != nullptr ? *external_ : *owned_;
     }
 
-    /// Store options for the private store. With symmetry on, orbit
-    /// siblings share a canonical fingerprint but differ under
-    /// operator==, so full mode must dedup by fingerprint alone or the
-    /// collision fallback re-admits every sibling (store_options.h).
-    [[nodiscard]] StoreOptions store_options() const
+    static void require_empty(const Store& store)
     {
-      StoreOptions opts = limits_.store;
-      if (expander_.symmetry_enabled())
-      {
-        opts.dedup_by_fingerprint = true;
-      }
-      return opts;
+      SCV_CHECK_MSG(
+        store.size() == 0,
+        "the checker needs an empty store, found " << store.size()
+                                                   << " states");
     }
 
-    /// The store's byte ceiling, treated like an exhausted work budget
-    /// (store_bytes() is wait-free, so workers poll it).
-    [[nodiscard]] bool over_memory_budget()
-    {
-      return limits_.store.memory_budget_bytes > 0 &&
-        store().store_bytes() > limits_.store.memory_budget_bytes;
-    }
-
-    /// A frontier entry refers to the state's body in the store, which
-    /// stays put until the level barrier drops it (store contract).
+    /// A frontier entry: the state's body in its worker's level arena.
     struct Item
     {
       const S* body;
@@ -237,13 +240,29 @@ namespace scv::spec
     /// neighbouring workers' counters never share a cache line.
     struct alignas(64) WorkerLocal
     {
-      std::vector<Item> next;
+      /// Bodies and items by depth parity: level d is read from slot
+      /// d & 1 while level d + 1 is built in the other.
+      std::array<LevelArena<S>, 2> arenas;
+      std::array<std::vector<Item>, 2> items;
       uint64_t generated = 0;
       uint64_t transitions = 0;
       uint64_t duplicates = 0;
       uint64_t inserted = 0;
       uint64_t max_depth = 0;
       std::vector<uint64_t> coverage; // indexed by action
+    };
+
+    /// The level being expanded: worker w's items of this parity hold
+    /// global indices [offsets[w], offsets[w + 1]).
+    struct Level
+    {
+      unsigned parity = 0;
+      std::vector<size_t> offsets;
+
+      [[nodiscard]] size_t size() const
+      {
+        return offsets.back();
+      }
     };
 
     struct Violation
@@ -257,6 +276,25 @@ namespace scv::spec
       std::optional<S> successor;
     };
 
+    /// Resident bytes the memory budget covers: the store plus every
+    /// worker's level-arena chunks. Wait-free, so workers poll it.
+    [[nodiscard]] size_t resident_bytes(
+      const std::vector<WorkerLocal>& locals)
+    {
+      return store().store_bytes() + frontier_bytes(locals);
+    }
+
+    [[nodiscard]] static size_t frontier_bytes(
+      const std::vector<WorkerLocal>& locals)
+    {
+      size_t total = 0;
+      for (const WorkerLocal& local : locals)
+      {
+        total += local.arenas[0].bytes() + local.arenas[1].bytes();
+      }
+      return total;
+    }
+
     CheckResult<S> search(const WorkerPool& pool)
     {
       Budget budget(limits_.budget_caps());
@@ -268,26 +306,6 @@ namespace scv::spec
       for (auto& local : locals)
       {
         local.coverage.assign(spec_.actions.size(), 0);
-      }
-
-      std::vector<Item> frontier;
-
-      // Campaign seeding: every state another engine already admitted to
-      // the shared store joins the initial frontier (its depth is the
-      // depth recorded at admission).
-      if (external_ != nullptr)
-      {
-        store().for_each(
-          [&](Id id, const typename Store::RecordView& r) {
-            // A fingerprint-only store has dropped expanded states'
-            // bodies; only body-live records can seed the frontier (the
-            // rest still deduplicate, which is their whole job).
-            if (r.body != nullptr)
-            {
-              frontier.push_back({r.body, id, r.depth});
-            }
-          });
-        result.stats.seeded_states = frontier.size();
       }
 
       // Initial states are admitted and checked by worker 0 (the caller),
@@ -307,26 +325,32 @@ namespace scv::spec
         {
           break;
         }
-        frontier.push_back({ins.body, ins.id, 0});
+        locals[0].items[0].push_back(
+          {locals[0].arenas[0].emplace(S(init)), ins.id, 0});
       }
 
-      while (!frontier.empty() && !stop.load(std::memory_order_acquire))
+      Level level;
+      level.offsets.resize(pool.size() + 1);
+      for (;; level.parity ^= 1)
       {
+        for (size_t w = 0; w < locals.size(); ++w)
+        {
+          level.offsets[w + 1] =
+            level.offsets[w] + locals[w].items[level.parity].size();
+        }
+        if (level.size() == 0 || stop.load(std::memory_order_acquire))
+        {
+          break;
+        }
         std::atomic<size_t> cursor{0};
         pool.run([&](unsigned w) {
+          // The level before this one is dead: each worker retires its
+          // own bodies, in parallel, and keeps the chunks.
+          locals[w].items[level.parity ^ 1].clear();
+          locals[w].arenas[level.parity ^ 1].reset();
           run_worker(
-            w, frontier, cursor, stop, out_of_budget, budget, locals[w]);
+            w, level, locals, cursor, stop, out_of_budget, budget);
         });
-
-        // Level barrier: splice the next frontier (worker order, then
-        // generation order within a worker — one worker's level is in ID
-        // order, the classic FIFO queue).
-        std::vector<Item> next;
-        for (WorkerLocal& local : locals)
-        {
-          next.insert(next.end(), local.next.begin(), local.next.end());
-          local.next.clear();
-        }
 
         // Budget cut: the leftover frontier is everything admitted but
         // never expanded — the unclaimed tail of this level (workers
@@ -335,29 +359,31 @@ namespace scv::spec
         if (out_of_budget.load(std::memory_order_acquire))
         {
           const size_t claimed =
-            std::min(cursor.load(std::memory_order_relaxed), frontier.size());
-          for (size_t i = claimed; i < frontier.size(); ++i)
+            std::min(cursor.load(std::memory_order_relaxed), level.size());
+          for (size_t w = 0; w < locals.size(); ++w)
           {
-            frontier_out_.push_back(*frontier[i].body);
+            const auto& items = locals[w].items[level.parity];
+            for (size_t i = std::max(claimed, level.offsets[w]);
+                 i < level.offsets[w + 1];
+                 ++i)
+            {
+              frontier_out_.push_back(*items[i - level.offsets[w]].body);
+            }
           }
-          for (const Item& item : next)
+          for (const WorkerLocal& local : locals)
           {
-            frontier_out_.push_back(*item.body);
+            for (const Item& item : local.items[level.parity ^ 1])
+            {
+              frontier_out_.push_back(*item.body);
+            }
           }
         }
-        // Level barrier (workers parked, store quiescent): the expanded
-        // level's states leave the frontier, and frozen arena blocks may
-        // spill. Skipped on stop so a violation target's body stays live
-        // for reconstruction.
+        // Level barrier (workers parked, store quiescent): frozen record
+        // blocks may spill.
         if (!stop.load(std::memory_order_acquire))
         {
-          for (const Item& item : frontier)
-          {
-            store().drop_body(item.id);
-          }
           store().maybe_spill();
         }
-        frontier = std::move(next);
       }
 
       uint64_t inserted = 0;
@@ -378,12 +404,21 @@ namespace scv::spec
           }
         }
       }
+      result.stats.peak_frontier_bytes = frontier_bytes(locals);
+      // Teardown in parallel: each worker frees its arenas' chunks on the
+      // thread whose allocator cache they came from.
+      pool.run([&](unsigned w) {
+        locals[w].arenas[0].release();
+        locals[w].arenas[1].release();
+      });
+      // Read before the replay below fingerprints the chain again.
+      result.stats.canonicalized_states = expander_.canonicalized_count();
+      result.stats.symmetry_hits = expander_.symmetry_hit_count();
 
       if (violation_.has_value())
       {
         const Violation& v = *violation_;
-        result.counterexample =
-          reconstruct_counterexample(store(), spec_, v.at, v.property);
+        result.counterexample = counterexample(v.at, v.property);
         if (v.successor.has_value())
         {
           result.counterexample->steps.push_back(
@@ -401,16 +436,22 @@ namespace scv::spec
 
     void run_worker(
       unsigned w,
-      const std::vector<Item>& frontier,
+      const Level& level,
+      std::vector<WorkerLocal>& locals,
       std::atomic<size_t>& cursor,
       std::atomic<bool>& stop,
       std::atomic<bool>& out_of_budget,
-      const Budget& budget,
-      WorkerLocal& local)
+      const Budget& budget)
     {
+      WorkerLocal& local = locals[w];
+      const unsigned next_parity = level.parity ^ 1;
       // size() sums every shard's published counter: poll it only when a
       // state cap is set.
       const bool capped = budget.caps().max_states != UINT64_MAX;
+      const size_t memory_budget = limits_.store.memory_budget_bytes;
+      // Claims only grow, so the worker whose items hold the claimed
+      // index only moves forward.
+      size_t owner = 0;
       for (;;)
       {
         if (stop.load(std::memory_order_acquire))
@@ -421,18 +462,23 @@ namespace scv::spec
         // in the frontier's unclaimed tail for the leftover export.
         if (
           budget.exhausted(capped ? store().size() : 0) ||
-          over_memory_budget())
+          (memory_budget > 0 && resident_bytes(locals) > memory_budget))
         {
           out_of_budget.store(true, std::memory_order_release);
           stop.store(true, std::memory_order_release);
           return;
         }
         const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= frontier.size())
+        if (i >= level.size())
         {
           return;
         }
-        const Item item = frontier[i];
+        while (i >= level.offsets[owner + 1])
+        {
+          ++owner;
+        }
+        const Item item =
+          locals[owner].items[level.parity][i - level.offsets[owner]];
         const S& state = *item.body;
 
         local.max_depth = std::max<uint64_t>(local.max_depth, item.depth);
@@ -455,7 +501,7 @@ namespace scv::spec
             local.coverage[a]++;
             for (const auto& prop : spec_.action_properties)
             {
-              if (!prop.check(state, next))
+              if (!prop.check(*item.body, next))
               {
                 report_violation(
                   stop,
@@ -469,7 +515,7 @@ namespace scv::spec
             }
             const auto ins = expander_.admit(
               store(),
-              std::move(next),
+              next,
               item.id,
               static_cast<uint32_t>(a),
               item.depth + 1,
@@ -480,12 +526,15 @@ namespace scv::spec
               return;
             }
             local.inserted++;
-            if (!invariants_hold(*ins.body, ins.id, stop))
+            if (!invariants_hold(next, ins.id, stop))
             {
               violated = true;
               return;
             }
-            local.next.push_back({ins.body, ins.id, item.depth + 1});
+            local.items[next_parity].push_back(
+              {local.arenas[next_parity].emplace(std::move(next)),
+               ins.id,
+               item.depth + 1});
           });
         }
         if (violated)
@@ -493,6 +542,41 @@ namespace scv::spec
           return;
         }
       }
+    }
+
+    /// Rebuilds the path from an initial state to `id` as a
+    /// counterexample, by exact replay of the recorded action chain with
+    /// the admission key (canonical under symmetry). Pool joined, store
+    /// quiescent.
+    Counterexample<S> counterexample(Id id, const std::string& property)
+    {
+      auto path = store().reconstruct_path(
+        id,
+        spec_.init,
+        [&](const S& s, uint32_t action, const Emit<S>& emit) {
+          spec_.actions[action].expand(s, emit);
+        },
+        [&](const S& s, uint32_t) { return expander_.fingerprint_of(s); });
+      SCV_CHECK_MSG(
+        path.has_value(), "counterexample replay diverged for " << property);
+      Counterexample<S> cex;
+      cex.property = property;
+      std::vector<uint32_t> actions;
+      for (Id cur = id; cur != Store::no_parent;)
+      {
+        const auto r = store().record(cur);
+        actions.push_back(r.action);
+        cur = r.parent;
+      }
+      for (size_t i = 0; i < path->size(); ++i)
+      {
+        const uint32_t action = actions[actions.size() - 1 - i];
+        cex.steps.push_back(
+          {action == Store::init_action ? "<init>" :
+                                          spec_.actions[action].name,
+           std::move((*path)[i])});
+      }
+      return cex;
     }
 
     /// Checks every invariant on a freshly admitted state; on a violation
@@ -521,24 +605,21 @@ namespace scv::spec
       stop.store(true, std::memory_order_release);
     }
 
-    /// `inserted` is the number of states this run admitted itself —
-    /// equal to store().size() for a private store, but a shared store
-    /// also holds other engines' discoveries, which must not be
-    /// re-counted as this engine's coverage.
+    /// `inserted` is the number of states this run admitted. The store
+    /// starts empty (attach_store()), so it equals store().size().
     void finish(
       CheckResult<S>& result,
       const Budget& budget,
       bool complete,
       uint64_t inserted)
     {
-      result.stats.distinct_states =
-        external_ != nullptr ? inserted : store().size();
+      result.stats.distinct_states = inserted;
       result.stats.store_bytes = store().store_bytes();
       result.stats.spilled_bytes = store().spilled_bytes();
       result.stats.rehash_count = store().rehash_count();
       result.stats.seconds = budget.elapsed();
-      result.stats.canonicalized_states = expander_.canonicalized_count();
-      result.stats.symmetry_hits = expander_.symmetry_hit_count();
+      result.stats.fp_collision_probability =
+        fp_collision_probability(inserted, result.stats.duplicate_states);
       if (budget.caps().time_budget_seconds < 1e17)
       {
         result.stats.budget_seconds = budget.caps().time_budget_seconds;

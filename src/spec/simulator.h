@@ -155,7 +155,6 @@ namespace scv::spec
       ShardedStateStore<S>* store, EngineId origin = EngineId::Simulator)
     {
       store_ = store;
-      store_->reserve_arenas(resolve_worker_count(options_.threads));
       expander_.set_origin(static_cast<uint8_t>(origin));
     }
 
@@ -216,13 +215,6 @@ namespace scv::spec
             worker_);
           fresh += ins.inserted ? 1 : 0;
           cur_id = ins.id;
-          // The walk keeps its own copy of every state and builds
-          // counterexamples engine-side, so a fingerprint-only store can
-          // retire the body immediately.
-          if (ins.inserted && store_->fingerprint_only())
-          {
-            store_->drop_body(ins.id);
-          }
         }
         note_state(current, distinct, result);
 
@@ -316,10 +308,6 @@ namespace scv::spec
               worker_);
             fresh += ins.inserted ? 1 : 0;
             cur_id = ins.id;
-            if (ins.inserted && store_->fingerprint_only())
-            {
-              store_->drop_body(ins.id);
-            }
           }
           walk.push_back({spec_.actions[a].name, current});
           note_state(current, distinct, result);
@@ -582,7 +570,7 @@ namespace scv::spec
     std::unordered_map<uint64_t, double> q_;
     const std::atomic<bool>* external_stop_ = nullptr;
     Store* store_ = nullptr;
-    /// Fan-out child: its worker index (the shared store's body arena).
+    /// Fan-out child: its worker index (the symmetry counter slot).
     unsigned worker_ = 0;
     std::vector<S> seeds_;
   };

@@ -46,6 +46,14 @@ namespace scv::spec
       }
       os << " rehashes=" << rehash_count;
     }
+    if (peak_frontier_bytes > 0)
+    {
+      os << " frontier_bytes=" << peak_frontier_bytes;
+    }
+    if (fp_collision_probability > 0.0)
+    {
+      os << " collision_p=" << fp_collision_probability;
+    }
     os << " depth=" << max_depth << " seconds=" << seconds
        << " states/min=" << states_per_minute()
        << (complete ? " (complete)" : " (bounded)");
@@ -67,6 +75,10 @@ namespace scv::spec
     store_bytes = std::max(store_bytes, other.store_bytes);
     spilled_bytes = std::max(spilled_bytes, other.spilled_bytes);
     rehash_count = std::max(rehash_count, other.rehash_count);
+    peak_frontier_bytes =
+      std::max(peak_frontier_bytes, other.peak_frontier_bytes);
+    // A union bound: either run's collision is a collision of the merge.
+    fp_collision_probability += other.fp_collision_probability;
     for (const auto& [name, count] : other.action_coverage)
     {
       action_coverage[name] += count;

@@ -9,6 +9,17 @@
 
 namespace scv::spec
 {
+  /// TLC's fingerprint-collision estimate for a run that admitted
+  /// `distinct` states and dropped `duplicates` as already seen: each
+  /// duplicate hit could have been a collision with any of `distinct`
+  /// fingerprints, probability distinct × duplicates / 2^64.
+  [[nodiscard]] inline double fp_collision_probability(
+    uint64_t distinct, uint64_t duplicates)
+  {
+    return static_cast<double>(distinct) * static_cast<double>(duplicates) /
+      18446744073709551616.0;
+  }
+
   struct ExplorationStats
   {
     uint64_t distinct_states = 0;
@@ -25,10 +36,8 @@ namespace scv::spec
     /// tracecheck benchmark harness (perfbench/harness/tracecheck.cpp)
     /// reads it.
     uint64_t steals = 0;
-    /// Campaign runs: states adopted from another engine's discoveries to
-    /// start this run — frontier records seeding a checker BFS, or walk
-    /// starts drawn from a checker frontier by the simulator. Zero for
-    /// standalone runs.
+    /// Campaign runs: simulator walk starts drawn from the checker's
+    /// leftover frontier. Zero for standalone runs.
     uint64_t seeded_states = 0;
     /// Symmetry reduction (EngineOptions::symmetry): states run through
     /// the canonicalizer before fingerprinting, and how many of those
@@ -39,12 +48,20 @@ namespace scv::spec
     uint64_t symmetry_hits = 0;
     uint64_t max_depth = 0;
     /// State-store footprint at the end of the run: resident bytes
-    /// (index + hot arena + bodies), bytes spilled to disk, and index
-    /// rehashes. Snapshots of the engine's store, not additive across
-    /// phases sharing one store — absorb_counts() takes the max.
+    /// (index + hot arena), bytes spilled to disk, and index rehashes.
+    /// Snapshots of the engine's store, not additive across phases
+    /// sharing one store — absorb_counts() takes the max.
     uint64_t store_bytes = 0;
     uint64_t spilled_bytes = 0;
     uint64_t rehash_count = 0;
+    /// Checker: the largest footprint of the frontier's state bodies (its
+    /// level arenas' chunks). Zero for the other engines.
+    uint64_t peak_frontier_bytes = 0;
+    /// TLC's estimate of the chance that dedup by 64-bit fingerprint
+    /// merged two distinct states: distinct × duplicates / 2^64 (see
+    /// fp_collision_probability()). The cost of keeping no state bodies,
+    /// kept visible. Set by the checker and the trace validator.
+    double fp_collision_probability = 0.0;
     double seconds = 0.0;
     /// The wall-clock allotment this run was given (its
     /// time_budget_seconds), when finite; 0 for unlimited runs. Under a

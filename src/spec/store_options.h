@@ -1,37 +1,18 @@
-// Storage-mode knobs for the sharded fingerprint store, factored into
-// their own header so engine.h (EngineOptions) can carry them without
-// pulling in the whole store template.
+// Knobs for the sharded fingerprint store, factored into their own header
+// so engine.h (EngineOptions) can carry them without pulling in the whole
+// store template.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 namespace scv::spec
 {
-  /// How much of each state the store retains (docs/SPEC.md "Store
-  /// modes").
-  enum class StoreMode : uint8_t
-  {
-    /// Every state body is kept for the lifetime of the store; dedup
-    /// falls back to a full operator== compare on 64-bit fingerprint
-    /// collision. Bit-identical to the pre-mode store.
-    full,
-    /// TLC-style: only the 64-bit fingerprint, the 16-byte hot record
-    /// (parent, action, depth, origin) and the frontier's bodies are
-    /// kept; a state's body is dropped once it leaves the frontier.
-    /// Dedup is by fingerprint alone — two distinct states sharing a
-    /// fingerprint are conflated (probability ~ n^2 / 2^65 for n
-    /// states). Counterexamples and witnesses are rebuilt by replaying
-    /// the recorded action chain from the initial states
-    /// (ShardedStateStore::reconstruct_path).
-    fingerprint_only,
-  };
-
+  /// docs/SPEC.md "State store".
   struct StoreOptions
   {
-    StoreMode mode = StoreMode::full;
-    /// Soft ceiling on store_bytes(). 0 = unlimited. Engines treat
+    /// Soft ceiling on resident bytes: the store's plus, for the
+    /// checker, its level arenas' chunks. 0 = unlimited. Engines treat
     /// crossing it like an exhausted work budget (the run ends
     /// incomplete); with a spill_dir it also sets the per-shard arena
     /// threshold above which maybe_spill() moves frozen record blocks
@@ -40,33 +21,10 @@ namespace scv::spec
     /// Directory for per-shard spill files (created lazily, unlinked
     /// immediately, mmap'd back read-only). Empty = spill disabled.
     std::string spill_dir;
-    /// Dedup by fingerprint alone even in full mode (bodies are still
-    /// retained, so counterexamples read the chain directly). Engines set
-    /// this when symmetry reduction is on: orbit-equivalent states share
-    /// a canonical fingerprint but differ under operator==, so full
-    /// mode's collision fallback would re-admit every orbit sibling and
-    /// the reduction would silently vanish. Accepts the same ~n^2/2^65
-    /// collision-conflation trade fingerprint_only mode documents.
-    bool dedup_by_fingerprint = false;
-
-    [[nodiscard]] bool fingerprint_only() const
-    {
-      return mode == StoreMode::fingerprint_only;
-    }
-
-    [[nodiscard]] bool fingerprint_dedup() const
-    {
-      return fingerprint_only() || dedup_by_fingerprint;
-    }
 
     [[nodiscard]] bool spill_enabled() const
     {
       return !spill_dir.empty();
     }
   };
-
-  [[nodiscard]] constexpr const char* store_mode_name(StoreMode mode)
-  {
-    return mode == StoreMode::fingerprint_only ? "fingerprint_only" : "full";
-  }
 }

@@ -155,7 +155,6 @@ namespace scv::spec
       ShardedStateStore<S>* store, EngineId origin = EngineId::Validator)
     {
       coverage_store_ = store;
-      coverage_store_->reserve_arenas(resolve_worker_count(options_.threads));
       expander_.set_origin(static_cast<uint8_t>(origin));
     }
 
@@ -180,6 +179,8 @@ namespace scv::spec
       }
       result_.stats.generated_states = result_.states_explored;
       result_.stats.max_depth = result_.lines_matched;
+      result_.stats.fp_collision_probability = fp_collision_probability(
+        result_.stats.distinct_states, result_.stats.duplicate_states);
       result_.stats.complete =
         result_.ok || !budget_.exhausted(result_.states_explored);
       return result_;
@@ -203,20 +204,13 @@ namespace scv::spec
     {
       if (coverage_store_ != nullptr)
       {
-        const auto ins = expander_.admit(
+        (void)expander_.admit(
           *coverage_store_,
           state,
           Store::no_parent,
           Store::init_action,
           static_cast<uint32_t>(line),
           worker);
-        // Coverage admissions are pure membership: nothing ever walks
-        // their (parentless) chains, so a fingerprint-only store can
-        // retire the body immediately.
-        if (ins.inserted && coverage_store_->fingerprint_only())
-        {
-          coverage_store_->drop_body(ins.id);
-        }
       }
     }
 
@@ -250,8 +244,7 @@ namespace scv::spec
       node.reset();
     }
 
-    /// A frontier entry carries a copy of the state so workers never read
-    /// store records while siblings insert (the store's record() contract).
+    /// A frontier entry carries its state: the store keeps none.
     struct Item
     {
       S state;
@@ -273,7 +266,6 @@ namespace scv::spec
       Store store(
         pool.size() == 1 ? 1 : 4 * static_cast<size_t>(pool.size()),
         options_.store);
-      store.reserve_arenas(pool.size());
       const auto snapshot_store = [&] {
         result_.stats.store_bytes = store.store_bytes();
         result_.stats.spilled_bytes = store.spilled_bytes();
@@ -287,13 +279,12 @@ namespace scv::spec
       std::vector<Item> frontier;
       for (const S& init : init_)
       {
-        const auto ins = expander_.admit_keyed(
-          store,
-          init,
+        const auto ins = store.insert(
           key(0, expander_.fingerprint_of(init)),
           Store::no_parent,
           Store::init_action,
-          0);
+          0,
+          expander_.origin());
         if (ins.inserted)
         {
           cover(init, 0);
@@ -361,16 +352,10 @@ namespace scv::spec
           store.clear();
           release_frontier_chains(frontier);
         }
-        else if (store.fingerprint_only())
+        else
         {
-          // Line barrier (pool joined, store quiescent): the expanded
-          // line's states leave the frontier; frozen arena blocks may
-          // spill. The new frontier's bodies stay live — the witness
-          // replay disambiguates against the final frontier.
-          for (const Item& item : frontier)
-          {
-            store.drop_body(item.id);
-          }
+          // Line barrier (pool joined, store quiescent): frozen record
+          // blocks may spill.
           store.maybe_spill();
         }
         frontier = std::move(next);
@@ -398,22 +383,20 @@ namespace scv::spec
         }
         else
         {
-          // Full mode reads the chain's bodies directly (bit-identical
-          // to the historical walk); a fingerprint-only store replays
-          // the recorded line chain from the initial states through the
-          // same fault-composed expansion, disambiguated by the
-          // surviving candidate itself (its body never left the
-          // frontier).
+          // Exact replay of the recorded line chain from the initial
+          // states, through the same fault-composed expansion and the
+          // same line-salted key the search admitted with.
           auto path = store.reconstruct_path(
             frontier.front().id,
             init_,
-            [&](
-              const S& s, uint32_t action, uint32_t, const Emit<S>& emit) {
+            [&](const S& s, uint32_t action, const Emit<S>& emit) {
               expander_.with_faults(s, [&](const S& pre) {
                 lines_[action].expand(pre, emit);
               });
             },
-            &frontier.front().state);
+            [&](const S& s, uint32_t line) {
+              return key(line, expander_.fingerprint_of(s));
+            });
           if (path.has_value())
           {
             result_.witness = std::move(*path);
@@ -459,14 +442,12 @@ namespace scv::spec
         expander_.with_faults(item.state, [&](const S& pre) {
           lines_[line].expand(pre, [&](S&& succ) {
             explored.fetch_add(1, std::memory_order_relaxed);
-            const auto ins = expander_.admit_keyed(
-              store,
-              succ,
+            const auto ins = store.insert(
               key(line + 1, expander_.fingerprint_of(succ, w)),
               item.id,
               static_cast<uint32_t>(line),
               static_cast<uint32_t>(line + 1),
-              w);
+              expander_.origin());
             if (ins.inserted)
             {
               cover(succ, line + 1, w);

@@ -166,21 +166,24 @@ TEST(CheckerGolden, Table1ModelFourWorkers)
   EXPECT_EQ(r.stats.distinct_states, 546356u);
 }
 
-// Fingerprint-only dedup trusts the 64-bit fingerprint alone, so a
-// collision on the real state space would merge two states and lower the
-// count. Equal counts to full mode mean the fingerprint separates all
-// 546,356 states.
+// Dedup trusts the 64-bit fingerprint alone, so a collision on the real
+// state space would merge two states and lower the count. The pinned
+// count was taken when the store still compared state bodies on every
+// fingerprint hit: equal counts mean the fingerprint separates all
+// 546,356 states. TLC's estimate of the risk is reported beside them.
 TEST(CheckerGolden, Table1ModelFingerprintOnly)
 {
   CheckLimits limits;
   limits.threads = 4;
   limits.time_budget_seconds = 600.0;
-  limits.store.mode = StoreMode::fingerprint_only;
   const auto r =
     model_check(specs::ccfraft::build_spec(table1_model()), limits);
   EXPECT_TRUE(r.ok);
   EXPECT_TRUE(r.stats.complete);
   EXPECT_EQ(r.stats.distinct_states, 546356u);
+  EXPECT_DOUBLE_EQ(
+    r.stats.fp_collision_probability,
+    546356.0 * 574854.0 / 18446744073709551616.0);
 }
 
 TEST(CheckerGolden, SymmetricModelSingleWorker)

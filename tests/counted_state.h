@@ -1,6 +1,6 @@
 // A spec state that counts its copies, moves and live instances, for
-// tests that pin where the engines copy states and that the store's body
-// arena destroys every body it built.
+// tests that pin where the engines copy states and that the checker's
+// level arena destroys every body it built.
 #pragma once
 
 #include <string>

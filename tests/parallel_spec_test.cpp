@@ -1,5 +1,6 @@
 // Tests for the parallel exploration engine: the sharded fingerprint
-// store's ID scheme, dedup and per-worker body arenas, the persistent
+// store's ID scheme and dedup, the checker's per-worker level arenas, the
+// persistent
 // worker pool, threads=1 equivalence between the checker's private-store
 // and shared-store routes, and multi-worker runs finding the same
 // violations and covering the same state space as single-worker runs.
@@ -106,26 +107,6 @@ namespace
     return def;
   }
 
-  /// A state whose canonical serialization deliberately omits `hidden`, so
-  /// two unequal states can share one fingerprint — a forced fingerprint
-  /// collision to exercise the collision-chain fallback.
-  struct ColliderState
-  {
-    int keyed = 0;
-    int hidden = 0;
-
-    bool operator==(const ColliderState&) const = default;
-    void serialize(ByteSink& sink) const
-    {
-      sink.u64(static_cast<uint64_t>(keyed));
-    }
-    [[nodiscard]] std::string to_string() const
-    {
-      return "keyed=" + std::to_string(keyed) +
-        " hidden=" + std::to_string(hidden);
-    }
-  };
-
   void expect_same_counterexample(
     const std::optional<Counterexample<CounterState>>& a,
     const std::optional<Counterexample<CounterState>>& b)
@@ -175,42 +156,23 @@ TEST(ShardedStateStore, InsertDedupsAndRecordsAreRetrievable)
   Store store(4);
   const CounterState s1{7};
   const auto first =
-    store.insert(s1, fingerprint(s1), Store::no_parent, Store::init_action, 0);
+    store.insert(fingerprint(s1), Store::no_parent, Store::init_action, 0);
   EXPECT_TRUE(first.inserted);
   const auto again =
-    store.insert(s1, fingerprint(s1), Store::no_parent, Store::init_action, 0);
+    store.insert(fingerprint(s1), Store::no_parent, Store::init_action, 0);
   EXPECT_FALSE(again.inserted);
   EXPECT_EQ(first.id, again.id);
   EXPECT_EQ(store.size(), 1u);
 
   const CounterState s2{8};
-  const auto child = store.insert(s2, fingerprint(s2), first.id, 0, 1);
+  const auto child = store.insert(fingerprint(s2), first.id, 0, 1);
   EXPECT_TRUE(child.inserted);
   EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.record(child.id).state(), s2);
+  EXPECT_EQ(store.find(fingerprint(s2)), child.id);
+  EXPECT_EQ(store.find(fingerprint(CounterState{9})), std::nullopt);
   EXPECT_EQ(store.record(child.id).parent, first.id);
   EXPECT_EQ(store.record(child.id).depth, 1u);
   EXPECT_EQ(store.record(first.id).parent, Store::no_parent);
-}
-
-TEST(ShardedStateStore, FingerprintCollisionFallsBackToStateComparison)
-{
-  using Store = ShardedStateStore<ColliderState>;
-  Store store(2);
-  const ColliderState a{1, 1};
-  const ColliderState b{1, 2}; // same fingerprint, different state
-  ASSERT_EQ(fingerprint(a), fingerprint(b));
-  ASSERT_FALSE(a == b);
-  const auto ia =
-    store.insert(a, fingerprint(a), Store::no_parent, Store::init_action, 0);
-  const auto ib =
-    store.insert(b, fingerprint(b), Store::no_parent, Store::init_action, 0);
-  EXPECT_TRUE(ia.inserted);
-  EXPECT_TRUE(ib.inserted); // collision chain keeps both
-  EXPECT_NE(ia.id, ib.id);
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.record(ia.id).state(), a);
-  EXPECT_EQ(store.record(ib.id).state(), b);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,24 +257,23 @@ TEST(WorkerPoolReuse, CallerExceptionWaitsForWorkersThenRethrows)
 }
 
 // ---------------------------------------------------------------------------
-// Per-worker body arenas
+// Per-worker level arenas over one shared store
 // ---------------------------------------------------------------------------
 
-// Four workers insert overlapping ranges into one full-mode store, each
-// into its own arena. Every record must point at a body equal to the state
-// that was admitted under its id, and the pointer insert() handed back
-// must be the one record() reads.
-TEST(BodyArenas, FourWorkerFullStoreKeepsEveryBody)
+// Four workers insert overlapping ranges into one store, the checker's
+// way: a worker moves a state into its own level arena only when the
+// store admitted it. Every key is admitted exactly once, its record and
+// id survive the race, and each worker's bodies are the states it won.
+TEST(BodyArenas, FourWorkerStoreKeepsEveryRecord)
 {
   using Store = ShardedStateStore<CounterState>;
   const WorkerPool pool(4);
   Store store(16);
-  store.reserve_arenas(pool.size());
+  std::vector<LevelArena<CounterState>> arenas(pool.size());
 
   struct Admitted
   {
     Store::Id id;
-    CounterState state;
     const CounterState* body;
   };
   std::vector<std::vector<Admitted>> admitted(pool.size());
@@ -322,30 +283,26 @@ TEST(BodyArenas, FourWorkerFullStoreKeepsEveryBody)
     const int first = static_cast<int>(w) * 500;
     for (int v = first; v < first + 1000; ++v)
     {
-      const CounterState s{v};
+      CounterState s{v};
       const auto ins = store.insert(
-        s, fingerprint(s), Store::no_parent, Store::init_action, 0, 0, w);
+        fingerprint(s), Store::no_parent, Store::init_action, 0, 1);
       if (ins.inserted)
       {
-        ASSERT_NE(ins.body, nullptr);
-        admitted[w].push_back({ins.id, s, ins.body});
-      }
-      else
-      {
-        EXPECT_EQ(ins.body, nullptr);
+        admitted[w].push_back({ins.id, arenas[w].emplace(std::move(s))});
       }
     }
   });
 
   size_t total = 0;
-  for (const auto& slice : admitted)
+  for (size_t w = 0; w < admitted.size(); ++w)
   {
-    for (const Admitted& a : slice)
+    EXPECT_EQ(arenas[w].size(), admitted[w].size());
+    for (const Admitted& a : admitted[w])
     {
+      EXPECT_EQ(store.find(fingerprint(*a.body)), a.id);
       const auto r = store.record(a.id);
-      ASSERT_NE(r.body, nullptr);
-      EXPECT_EQ(r.body, a.body);
-      EXPECT_EQ(r.state(), a.state);
+      EXPECT_EQ(r.parent, Store::no_parent);
+      EXPECT_EQ(r.origin, 1u);
       ++total;
     }
   }
@@ -353,28 +310,37 @@ TEST(BodyArenas, FourWorkerFullStoreKeepsEveryBody)
   EXPECT_EQ(store.size(), 2500u);
 
   // Teardown the way the checker does it: each worker frees its arena.
-  pool.run([&](unsigned w) { store.release_arena(w); });
+  pool.run([&](unsigned w) { arenas[w].release(); });
 }
 
 TEST(BodyArenas, ClearEmptiesArenasAndStoreStaysUsable)
 {
   using Store = ShardedStateStore<CounterState>;
   Store store(2);
-  store.reserve_arenas(2);
+  std::array<LevelArena<CounterState>, 2> arenas;
   for (int v = 0; v < 100; ++v)
   {
-    const CounterState s{v};
-    (void)store.insert(
-      s, fingerprint(s), Store::no_parent, Store::init_action, 0, 0, v % 2);
+    CounterState s{v};
+    if (store.insert(fingerprint(s), Store::no_parent, Store::init_action, 0)
+          .inserted)
+    {
+      (void)arenas[v % 2].emplace(std::move(s));
+    }
   }
   store.clear();
+  for (auto& arena : arenas)
+  {
+    arena.reset();
+    EXPECT_EQ(arena.size(), 0u);
+  }
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.store_bytes(), 0u);
-  const CounterState s{7};
-  const auto ins = store.insert(
-    s, fingerprint(s), Store::no_parent, Store::init_action, 0, 0, 1);
+  CounterState s{7};
+  const auto ins =
+    store.insert(fingerprint(s), Store::no_parent, Store::init_action, 0);
   ASSERT_TRUE(ins.inserted);
-  EXPECT_EQ(store.record(ins.id).state(), s);
+  EXPECT_EQ(store.find(fingerprint(s)), ins.id);
+  EXPECT_EQ(arenas[1].emplace(std::move(s))->value, 7);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
-// Tests for the state-store modes (docs/SPEC.md "Store modes"): the flat
-// open-addressing fingerprint index, full vs fingerprint-only golden
-// equivalence across engines, counterexample/witness reconstruction by
-// replay, per-shard disk spill round-trips, forced fingerprint-collision
-// chains, and rehash under concurrent insert (run under TSan in CI).
+// Tests for the state store (docs/SPEC.md "State store"): the flat
+// open-addressing fingerprint index, dedup by fingerprint alone, the
+// checker's level arenas, exact replay of counterexamples and witnesses,
+// an exactness oracle (a naive BFS over serialized states) for the
+// distinct counts, per-shard disk spill round-trips, and rehash under
+// concurrent insert (run under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <deque>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +20,7 @@
 #include "spec/model_checker.h"
 #include "spec/sharded_state_store.h"
 #include "spec/trace_validator.h"
+#include "specs/consensus/spec.h"
 #include "specs/consistency/spec.h"
 #include "trace/consensus_binding.h"
 #include "trace/preprocess.h"
@@ -59,8 +64,7 @@ namespace
 
   /// A state whose fingerprint is only its low byte: 256 possible
   /// fingerprints, so distinct states collide constantly — the forcing
-  /// house for full-mode collision chains and fingerprint-only
-  /// conflation.
+  /// house for fingerprint conflation.
   struct NarrowFpState
   {
     int value = 0;
@@ -75,13 +79,6 @@ namespace
       return "narrow=" + std::to_string(value);
     }
   };
-
-  StoreOptions fp_only()
-  {
-    StoreOptions o;
-    o.mode = StoreMode::fingerprint_only;
-    return o;
-  }
 
   std::string make_spill_dir()
   {
@@ -113,8 +110,8 @@ TEST(FlatFpTable, InsertFindContains)
 
 TEST(FlatFpTable, DuplicateFingerprintsKeepAllEntries)
 {
-  // The full-mode store inserts one entry per *state*; colliding
-  // fingerprints coexist and find() visits every one.
+  // insert() is unconditional: colliding fingerprints coexist and find()
+  // visits every one.
   FlatFpTable table;
   table.insert(5, 10);
   table.insert(5, 11);
@@ -177,46 +174,19 @@ TEST(FlatFpTable, ClearEmptiesWithoutShrinking)
   EXPECT_TRUE(table.contains(1));
 }
 
-// ---- Store modes: dedup semantics and collision chains ----
-
-TEST(StoreModes, FullModeDedupsByStateOnFingerprintCollision)
-{
-  using Store = ShardedStateStore<NarrowFpState>;
-  Store store(1); // StoreMode::full
-  const int n = 1000; // only 256 fingerprints available
-  for (int i = 0; i < n; ++i)
-  {
-    const NarrowFpState s{i};
-    const auto ins = store.insert(
-      s, fingerprint(s), Store::no_parent, Store::init_action, 0);
-    EXPECT_TRUE(ins.inserted) << "state " << i;
-  }
-  EXPECT_EQ(store.size(), static_cast<size_t>(n));
-
-  // Re-inserting any state hits the collision chain and finds the
-  // original by full comparison.
-  for (int i = 0; i < n; ++i)
-  {
-    const NarrowFpState s{i};
-    const auto ins = store.insert(
-      s, fingerprint(s), Store::no_parent, Store::init_action, 1);
-    EXPECT_FALSE(ins.inserted);
-    EXPECT_EQ(store.record(ins.id).state(), s);
-  }
-  EXPECT_EQ(store.size(), static_cast<size_t>(n));
-}
+// ---- Dedup by fingerprint alone ----
 
 TEST(StoreModes, FingerprintOnlyConflatesCollidingStates)
 {
   using Store = ShardedStateStore<NarrowFpState>;
-  Store store(1, fp_only());
+  Store store(1);
   size_t inserted = 0;
   for (int i = 0; i < 1000; ++i)
   {
     const NarrowFpState s{i};
     inserted += store
                   .insert(
-                    s, fingerprint(s), Store::no_parent, Store::init_action, 0)
+                    fingerprint(s), Store::no_parent, Store::init_action, 0)
                   .inserted ?
       1 :
       0;
@@ -227,148 +197,66 @@ TEST(StoreModes, FingerprintOnlyConflatesCollidingStates)
   EXPECT_EQ(store.size(), 256u);
 
   // A colliding insert returns the incumbent's id.
+  const NarrowFpState first{0};
   const NarrowFpState again{256}; // collides with {0}
   const auto ins = store.insert(
-    again, fingerprint(again), Store::no_parent, Store::init_action, 0);
+    fingerprint(again), Store::no_parent, Store::init_action, 0);
   EXPECT_FALSE(ins.inserted);
-  EXPECT_EQ(store.record(ins.id).state(), NarrowFpState{0});
+  EXPECT_EQ(store.find(fingerprint(first)), ins.id);
 }
 
-TEST(StoreModes, DropBodyRetiresFrontierBodies)
-{
-  using Store = ShardedStateStore<CounterState>;
-  Store store(1, fp_only());
-  const CounterState s{5};
-  const auto ins =
-    store.insert(s, fingerprint(s), Store::no_parent, Store::init_action, 0);
-  ASSERT_TRUE(ins.inserted);
-  ASSERT_NE(store.record(ins.id).body, nullptr);
-  EXPECT_EQ(store.record(ins.id).state(), s);
-  const size_t with_body = store.store_bytes();
-
-  store.drop_body(ins.id);
-  EXPECT_EQ(store.record(ins.id).body, nullptr);
-  EXPECT_EQ(store.record(ins.id).body, nullptr);
-  EXPECT_LT(store.store_bytes(), with_body);
-  store.drop_body(ins.id); // idempotent
-  EXPECT_EQ(store.record(ins.id).body, nullptr);
-
-  // The hot record survives the drop; dedup still works.
-  EXPECT_FALSE(
-    store.insert(s, fingerprint(s), Store::no_parent, Store::init_action, 0)
-      .inserted);
-
-  // Full mode: drop_body is a no-op.
-  Store full(1);
-  const auto fins =
-    full.insert(s, fingerprint(s), Store::no_parent, Store::init_action, 0);
-  full.drop_body(fins.id);
-  EXPECT_NE(full.record(fins.id).body, nullptr);
-}
-
-// ---- Body arena: rvalue admission and chunked per-worker storage ----
-
-TEST(BodyArena, DuplicateRvalueInsertLeavesStateUntouched)
-{
-  using test::CountedState;
-  using Store = ShardedStateStore<CountedState>;
-  for (const bool fp_mode : {false, true})
-  {
-    Store store(1, fp_mode ? fp_only() : StoreOptions{});
-    CountedState first{3};
-    const uint64_t fp = fingerprint(first);
-    CountedState::reset_counts();
-    const auto ins = store.insert(
-      std::move(first), fp, Store::no_parent, Store::init_action, 0);
-    ASSERT_TRUE(ins.inserted);
-    EXPECT_EQ(ins.body->value, 3);
-    EXPECT_EQ(first.value, -1) << "admitted body is moved in";
-    EXPECT_EQ(CountedState::copies, 0);
-
-    CountedState again{3};
-    const auto dup = store.insert(
-      std::move(again), fp, Store::no_parent, Store::init_action, 1);
-    EXPECT_FALSE(dup.inserted);
-    EXPECT_EQ(dup.id, ins.id);
-    EXPECT_EQ(again.value, 3) << "a duplicate is not moved from";
-    EXPECT_EQ(CountedState::copies, 0);
-  }
-}
+// ---- Level arenas: the checker's chunked per-worker body storage ----
 
 TEST(BodyArena, BodyPointersStayValidAcrossChunks)
 {
-  using Store = ShardedStateStore<CounterState>;
-  Store store(4);
-  store.reserve_arenas(2);
-  // Over two chunks per worker (1024 bodies each).
+  LevelArena<CounterState> arena;
+  // Over four chunks (1024 bodies each).
   const int n = 5000;
   std::vector<const CounterState*> bodies;
   for (int i = 0; i < n; ++i)
   {
-    CounterState s{i};
-    const uint64_t fp = fingerprint(s);
-    const auto ins = store.insert(
-      std::move(s),
-      fp,
-      Store::no_parent,
-      Store::init_action,
-      0,
-      0,
-      static_cast<unsigned>(i % 2));
-    ASSERT_TRUE(ins.inserted);
-    bodies.push_back(ins.body);
+    bodies.push_back(arena.emplace(CounterState{i}));
   }
+  EXPECT_EQ(arena.size(), static_cast<size_t>(n));
+  EXPECT_EQ(arena.bytes(), 5 * LevelArena<CounterState>::chunk_bytes);
   for (int i = 0; i < n; ++i)
   {
     EXPECT_EQ(bodies[static_cast<size_t>(i)]->value, i);
   }
-  size_t seen = 0;
-  store.for_each([&](Store::Id, const Store::RecordView& r) {
-    ASSERT_NE(r.body, nullptr);
-    EXPECT_EQ(bodies[static_cast<size_t>(r.body->value)], r.body);
-    ++seen;
-  });
-  EXPECT_EQ(seen, static_cast<size_t>(n));
 }
 
 TEST(BodyArena, ReleaseAndClearDestroyEveryBody)
 {
   using test::CountedState;
-  using Store = ShardedStateStore<CountedState>;
   const int live_before = CountedState::live;
-  const auto fill = [](Store& store, int n) {
-    for (int i = 0; i < n; ++i)
+  {
+    LevelArena<CountedState> arena;
+    for (int i = 0; i < 3000; ++i)
     {
-      const CountedState s{i};
-      (void)store.insert(
-        s,
-        fingerprint(s),
-        Store::no_parent,
-        Store::init_action,
-        0,
-        0,
-        static_cast<unsigned>(i % 2));
+      (void)arena.emplace(CountedState{i});
     }
-  };
-  {
-    Store store(2);
-    store.reserve_arenas(2);
-    fill(store, 3000);
     EXPECT_EQ(CountedState::live, live_before + 3000);
-    store.release_arena(0);
-    store.release_arena(1);
+    const size_t chunk_bytes = arena.bytes();
+
+    // reset() destroys the bodies and keeps the chunks for reuse.
+    arena.reset();
     EXPECT_EQ(CountedState::live, live_before);
-  }
-  {
-    Store store(2);
-    store.reserve_arenas(2);
-    fill(store, 3000);
-    store.clear();
+    EXPECT_EQ(arena.size(), 0u);
+    EXPECT_EQ(arena.bytes(), chunk_bytes);
+    CountedState::reset_counts();
+    const CountedState* body = arena.emplace(CountedState{7});
+    EXPECT_EQ(body->value, 7);
+    EXPECT_EQ(CountedState::copies, 0) << "bodies are moved in";
+    EXPECT_EQ(arena.bytes(), chunk_bytes);
+
+    // release() also frees the chunks.
+    arena.release();
     EXPECT_EQ(CountedState::live, live_before);
-    EXPECT_EQ(store.size(), 0u);
-    // The store is reusable after clear().
-    fill(store, 10);
-    EXPECT_EQ(store.size(), 10u);
+    EXPECT_EQ(arena.bytes(), 0u);
+    for (int i = 0; i < 10; ++i)
+    {
+      (void)arena.emplace(CountedState{i});
+    }
   }
   // Destruction frees whatever is left.
   EXPECT_EQ(CountedState::live, live_before);
@@ -377,12 +265,11 @@ TEST(BodyArena, ReleaseAndClearDestroyEveryBody)
 TEST(StoreModes, OriginCountsAreWaitFreeAndSumToSize)
 {
   using Store = ShardedStateStore<CounterState>;
-  Store store(4, fp_only());
+  Store store(4);
   for (int i = 0; i < 100; ++i)
   {
     const CounterState s{i};
     store.insert(
-      s,
       fingerprint(s),
       Store::no_parent,
       Store::init_action,
@@ -400,50 +287,18 @@ TEST(StoreModes, OriginCountsAreWaitFreeAndSumToSize)
   EXPECT_EQ(store.origin_count(2), 33u);
 }
 
-// ---- Reconstruction by replay ----
-
-TEST(Reconstruct, FastPathWalksLiveBodies)
-{
-  using Store = ShardedStateStore<CounterState>;
-  Store store(1); // full mode: every body stays live
-  Store::Id prev = Store::no_parent;
-  for (int i = 0; i <= 5; ++i)
-  {
-    const CounterState s{i};
-    const auto ins = store.insert(
-      s,
-      fingerprint(s),
-      prev,
-      i == 0 ? Store::init_action : 0,
-      static_cast<uint32_t>(i));
-    ASSERT_TRUE(ins.inserted);
-    prev = ins.id;
-  }
-  const auto path = store.reconstruct_path(
-    prev,
-    {CounterState{0}},
-    [](const CounterState&, uint32_t, uint32_t, const Emit<CounterState>&) {
-      FAIL() << "fast path must not replay";
-    });
-  ASSERT_TRUE(path.has_value());
-  ASSERT_EQ(path->size(), 6u);
-  for (int i = 0; i <= 5; ++i)
-  {
-    EXPECT_EQ((*path)[i], CounterState{i});
-  }
-}
+// ---- Exact replay ----
 
 TEST(Reconstruct, ReplayRebuildsDroppedChain)
 {
   using Store = ShardedStateStore<CounterState>;
-  Store store(1, fp_only());
+  Store store(1);
   std::vector<Store::Id> ids;
   Store::Id prev = Store::no_parent;
   for (int i = 0; i <= 5; ++i)
   {
     const CounterState s{i};
     const auto ins = store.insert(
-      s,
       fingerprint(s),
       prev,
       i == 0 ? Store::init_action : 0,
@@ -452,23 +307,20 @@ TEST(Reconstruct, ReplayRebuildsDroppedChain)
     ids.push_back(ins.id);
     prev = ins.id;
   }
-  // Interior bodies retire (the engines' pattern); the target stays live.
-  for (size_t i = 0; i + 1 < ids.size(); ++i)
-  {
-    store.drop_body(ids[i]);
-  }
-
-  // A nondeterministic action (+1 or +2): replay fans out and the target
-  // body disambiguates the final level.
-  const auto path = store.reconstruct_path(
-    ids.back(),
-    {CounterState{0}},
-    [](const CounterState& s, uint32_t action, uint32_t,
-       const Emit<CounterState>& emit) {
-      EXPECT_EQ(action, 0u);
-      emit(CounterState{s.value + 1});
-      emit(CounterState{s.value + 2});
-    });
+  const auto key = [](const CounterState& s, uint32_t) {
+    return fingerprint(s);
+  };
+  // A nondeterministic action (+1 or +2): each step takes the first
+  // successor whose key finds the chain's next id.
+  const auto step = [](const CounterState& s,
+                       uint32_t action,
+                       const Emit<CounterState>& emit) {
+    EXPECT_EQ(action, 0u);
+    emit(CounterState{s.value + 2});
+    emit(CounterState{s.value + 1});
+  };
+  const auto path =
+    store.reconstruct_path(ids.back(), {CounterState{0}}, step, key);
   ASSERT_TRUE(path.has_value());
   ASSERT_EQ(path->size(), 6u);
   for (int i = 0; i <= 5; ++i)
@@ -476,35 +328,199 @@ TEST(Reconstruct, ReplayRebuildsDroppedChain)
     EXPECT_EQ((*path)[i], CounterState{i}) << "replayed step " << i;
   }
 
-  // Dropping the target body too leaves the final level ambiguous (two
-  // candidates, no hint): reconstruction reports failure, not a guess.
-  store.drop_body(ids.back());
-  const auto ambiguous = store.reconstruct_path(
-    ids.back(),
-    {CounterState{0}},
-    [](const CounterState& s, uint32_t, uint32_t,
-       const Emit<CounterState>& emit) {
-      emit(CounterState{s.value + 1});
-      emit(CounterState{s.value + 2});
-    });
-  EXPECT_FALSE(ambiguous.has_value());
-
-  // ...unless the caller supplies the hint explicitly.
-  const CounterState want{5};
-  const auto hinted = store.reconstruct_path(
-    ids.back(),
-    {CounterState{0}},
-    [](const CounterState& s, uint32_t, uint32_t,
-       const Emit<CounterState>& emit) {
-      emit(CounterState{s.value + 1});
-      emit(CounterState{s.value + 2});
-    },
-    &want);
-  ASSERT_TRUE(hinted.has_value());
-  EXPECT_EQ(hinted->back(), want);
+  // A chain the initial states do not root, or a step no successor
+  // matches, is reported as a failure, not a guess.
+  EXPECT_FALSE(
+    store.reconstruct_path(ids.back(), {CounterState{9}}, step, key)
+      .has_value());
+  EXPECT_FALSE(store
+                 .reconstruct_path(
+                   ids.back(),
+                   {CounterState{0}},
+                   [](const CounterState& s,
+                      uint32_t,
+                      const Emit<CounterState>& emit) {
+                     emit(CounterState{s.value + 3});
+                   },
+                   key)
+                 .has_value());
 }
 
-// ---- Golden equivalence: full vs fingerprint-only, every engine ----
+namespace
+{
+  /// The small consensus model campaign_test runs (199,235 states).
+  specs::ccfraft::Params small_consensus_model()
+  {
+    specs::ccfraft::Params p;
+    p.n_nodes = 2;
+    p.max_term = 1;
+    p.max_requests = 1;
+    p.max_log_len = 4;
+    p.max_batch = 2;
+    p.max_network = 3;
+    p.max_copies = 1;
+    return p;
+  }
+
+  template <class S>
+  std::string serialized(const S& s)
+  {
+    ByteSink sink;
+    s.serialize(sink);
+    return {sink.bytes().begin(), sink.bytes().end()};
+  }
+
+  /// The exactness oracle: a naive BFS that dedups by the whole
+  /// serialized state (no fingerprint, so no collision can merge two
+  /// states) and, like the checker, expands only states within the
+  /// constraint. Keeps every `stride`-th discovered state as a sample.
+  template <class S>
+  struct NaiveSpace
+  {
+    size_t distinct = 0;
+    std::vector<S> samples;
+  };
+
+  template <class S>
+  NaiveSpace<S> naive_bfs(const SpecDef<S>& spec, size_t stride = 0)
+  {
+    NaiveSpace<S> out;
+    std::set<std::string> seen;
+    std::deque<S> queue;
+    const auto visit = [&](const S& s) {
+      if (seen.insert(serialized(s)).second)
+      {
+        if (stride > 0 && seen.size() % stride == 0)
+        {
+          out.samples.push_back(s);
+        }
+        queue.push_back(s);
+      }
+    };
+    for (const S& init : spec.init)
+    {
+      visit(init);
+    }
+    while (!queue.empty())
+    {
+      const S s = std::move(queue.front());
+      queue.pop_front();
+      if (!spec.within_constraint(s))
+      {
+        continue;
+      }
+      for (const auto& action : spec.actions)
+      {
+        action.expand(s, [&](S&& next) { visit(next); });
+      }
+    }
+    out.distinct = seen.size();
+    return out;
+  }
+
+  template <class S>
+  void expect_oracle_count(const SpecDef<S>& spec, size_t oracle)
+  {
+    for (const unsigned threads : {1u, 4u})
+    {
+      CheckLimits limits;
+      limits.threads = threads;
+      limits.time_budget_seconds = 600.0;
+      const auto r = model_check(spec, limits);
+      ASSERT_TRUE(r.ok);
+      ASSERT_TRUE(r.stats.complete);
+      EXPECT_EQ(r.stats.distinct_states, oracle) << threads << " workers";
+    }
+  }
+
+  /// Checks a counterexample against the spec alone: it starts at an
+  /// initial state and every step is a successor of the one before by
+  /// the named action.
+  template <class S>
+  void expect_valid_path(const SpecDef<S>& spec, const Counterexample<S>& cex)
+  {
+    ASSERT_FALSE(cex.steps.empty());
+    EXPECT_EQ(cex.steps[0].action, "<init>");
+    EXPECT_NE(
+      std::find(spec.init.begin(), spec.init.end(), cex.steps[0].state),
+      spec.init.end());
+    for (size_t i = 1; i < cex.steps.size(); ++i)
+    {
+      bool found = false;
+      for (const auto& action : spec.actions)
+      {
+        if (action.name == cex.steps[i].action)
+        {
+          action.expand(cex.steps[i - 1].state, [&](S&& next) {
+            found = found || next == cex.steps[i].state;
+          });
+        }
+      }
+      EXPECT_TRUE(found) << "step " << i << " (" << cex.steps[i].action
+                         << ") is not a successor of step " << i - 1;
+    }
+  }
+}
+
+// ---- Exactness oracle: distinct counts against a naive BFS ----
+
+TEST(ExactnessOracle, CounterSpecMatchesNaiveBfs)
+{
+  const auto spec = counter_spec(500);
+  expect_oracle_count(spec, naive_bfs(spec).distinct);
+}
+
+TEST(ExactnessOracle, ConsistencyModelMatchesNaiveBfs)
+{
+  specs::consistency::Params p;
+  p.max_rw_txs = 2;
+  p.max_ro_txs = 1;
+  p.max_branches = 2;
+  const auto spec = specs::consistency::build_spec(p);
+  expect_oracle_count(spec, naive_bfs(spec).distinct);
+}
+
+// The oracle's samples also drive the replay check: for each sampled
+// state's id, the replayed path ends at a state whose key finds that id,
+// one state per level of the record's depth.
+TEST(ExactnessOracle, SmallConsensusModelMatchesNaiveBfsAndReplays)
+{
+  using State = specs::ccfraft::State;
+  const auto spec = specs::ccfraft::build_spec(small_consensus_model());
+  const auto oracle = naive_bfs(spec, 997);
+  EXPECT_EQ(oracle.distinct, 199235u);
+  expect_oracle_count(spec, oracle.distinct);
+
+  for (const unsigned threads : {1u, 4u})
+  {
+    ShardedStateStore<State> store(threads == 1 ? 1 : 16);
+    CheckLimits limits;
+    limits.threads = threads;
+    limits.time_budget_seconds = 600.0;
+    ModelChecker<State> checker(spec, limits);
+    checker.attach_store(&store);
+    ASSERT_TRUE(checker.check().stats.complete);
+    ASSERT_GE(oracle.samples.size(), 150u);
+    for (const State& sample : oracle.samples)
+    {
+      const auto id = store.find(fingerprint(sample));
+      ASSERT_TRUE(id.has_value());
+      const auto path = store.reconstruct_path(
+        *id,
+        spec.init,
+        [&](const State& s, uint32_t action, const Emit<State>& emit) {
+          spec.actions[action].expand(s, emit);
+        },
+        [](const State& s, uint32_t) { return fingerprint(s); });
+      ASSERT_TRUE(path.has_value());
+      EXPECT_EQ(store.find(fingerprint(path->back())), id);
+      EXPECT_EQ(path->back(), sample);
+      EXPECT_EQ(path->size(), store.record(*id).depth + 1u);
+    }
+  }
+}
+
+// ---- Golden equivalence: checker counterexamples by replay ----
 
 TEST(GoldenEquivalence, CounterViolationSequential)
 {
@@ -513,30 +529,18 @@ TEST(GoldenEquivalence, CounterViolationSequential)
     {"BelowSevenHundred",
      [](const CounterState& s) { return s.value != 700; }});
 
-  CheckLimits full;
-  CheckLimits fp;
-  fp.store.mode = StoreMode::fingerprint_only;
-  const auto r_full = model_check(spec, full);
-  const auto r_fp = model_check(spec, fp);
-
-  ASSERT_FALSE(r_full.ok);
-  ASSERT_FALSE(r_fp.ok);
-  EXPECT_EQ(r_full.stats.distinct_states, r_fp.stats.distinct_states);
-  EXPECT_EQ(r_full.stats.generated_states, r_fp.stats.generated_states);
-  ASSERT_TRUE(r_full.counterexample.has_value());
-  ASSERT_TRUE(r_fp.counterexample.has_value());
-  EXPECT_EQ(r_full.counterexample->property, r_fp.counterexample->property);
-  ASSERT_EQ(
-    r_full.counterexample->steps.size(), r_fp.counterexample->steps.size());
-  ASSERT_EQ(r_fp.counterexample->steps.size(), 701u);
-  for (size_t i = 0; i < r_full.counterexample->steps.size(); ++i)
+  const auto r = model_check(spec);
+  ASSERT_FALSE(r.ok);
+  EXPECT_EQ(r.stats.distinct_states, 701u);
+  EXPECT_EQ(r.stats.generated_states, 701u);
+  ASSERT_TRUE(r.counterexample.has_value());
+  EXPECT_EQ(r.counterexample->property, "BelowSevenHundred");
+  ASSERT_EQ(r.counterexample->steps.size(), 701u);
+  for (size_t i = 0; i < r.counterexample->steps.size(); ++i)
   {
+    EXPECT_EQ(r.counterexample->steps[i].action, i == 0 ? "<init>" : "Increment");
     EXPECT_EQ(
-      r_full.counterexample->steps[i].action,
-      r_fp.counterexample->steps[i].action);
-    EXPECT_EQ(
-      r_full.counterexample->steps[i].state,
-      r_fp.counterexample->steps[i].state);
+      r.counterexample->steps[i].state, CounterState{static_cast<int>(i)});
   }
 }
 
@@ -546,52 +550,55 @@ TEST(GoldenEquivalence, CounterViolationParallel)
   spec.invariants.push_back(
     {"BelowFifty", [](const CounterState& s) { return s.value != 50; }});
 
-  CheckLimits full;
-  full.threads = 2;
-  CheckLimits fp = full;
-  fp.store.mode = StoreMode::fingerprint_only;
-  const auto r_full = model_check(spec, full);
-  const auto r_fp = model_check(spec, fp);
+  CheckLimits one;
+  CheckLimits two;
+  two.threads = 2;
+  const auto r_one = model_check(spec, one);
+  const auto r_two = model_check(spec, two);
 
-  ASSERT_FALSE(r_full.ok);
-  ASSERT_FALSE(r_fp.ok);
-  ASSERT_TRUE(r_fp.counterexample.has_value());
+  ASSERT_FALSE(r_one.ok);
+  ASSERT_FALSE(r_two.ok);
+  ASSERT_TRUE(r_two.counterexample.has_value());
   ASSERT_EQ(
-    r_full.counterexample->steps.size(), r_fp.counterexample->steps.size());
-  for (size_t i = 0; i < r_full.counterexample->steps.size(); ++i)
+    r_one.counterexample->steps.size(), r_two.counterexample->steps.size());
+  for (size_t i = 0; i < r_one.counterexample->steps.size(); ++i)
   {
     EXPECT_EQ(
-      r_full.counterexample->steps[i].state,
-      r_fp.counterexample->steps[i].state);
+      r_one.counterexample->steps[i].state,
+      r_two.counterexample->steps[i].state);
   }
 }
 
 TEST(GoldenEquivalence, CounterCompleteRunMatches)
 {
   const auto spec = counter_spec(500);
-  CheckLimits fp;
-  fp.store.mode = StoreMode::fingerprint_only;
-  const auto r_full = model_check(spec);
-  const auto r_fp = model_check(spec, fp);
+  CheckLimits four;
+  four.threads = 4;
+  const auto r_one = model_check(spec);
+  const auto r_four = model_check(spec, four);
 
-  EXPECT_TRUE(r_full.ok);
-  EXPECT_TRUE(r_fp.ok);
-  EXPECT_TRUE(r_fp.stats.complete);
-  EXPECT_EQ(r_full.stats.distinct_states, r_fp.stats.distinct_states);
-  EXPECT_EQ(r_full.stats.generated_states, r_fp.stats.generated_states);
-  EXPECT_EQ(r_full.stats.transitions, r_fp.stats.transitions);
-  EXPECT_EQ(r_full.stats.max_depth, r_fp.stats.max_depth);
-  EXPECT_GT(r_fp.stats.store_bytes, 0u);
-  // Fingerprint-only retires every expanded body: resident bytes stay
-  // well below full mode's keep-everything footprint.
-  EXPECT_LT(r_fp.stats.store_bytes, r_full.stats.store_bytes);
+  EXPECT_TRUE(r_one.ok);
+  EXPECT_TRUE(r_four.ok);
+  EXPECT_TRUE(r_four.stats.complete);
+  EXPECT_EQ(r_one.stats.distinct_states, 501u);
+  EXPECT_EQ(r_one.stats.distinct_states, r_four.stats.distinct_states);
+  EXPECT_EQ(r_one.stats.generated_states, r_four.stats.generated_states);
+  EXPECT_EQ(r_one.stats.transitions, r_four.stats.transitions);
+  EXPECT_EQ(r_one.stats.max_depth, r_four.stats.max_depth);
+  EXPECT_GT(r_one.stats.store_bytes, 0u);
+  // The chain's frontier is one state wide: one chunk per level arena.
+  EXPECT_EQ(
+    r_one.stats.peak_frontier_bytes,
+    2 * LevelArena<CounterState>::chunk_bytes);
+  // No duplicate hit, so no chance of a collision.
+  EXPECT_EQ(r_one.stats.fp_collision_probability, 0.0);
 }
 
 TEST(GoldenEquivalence, ConsistencyObservedRoCounterexampleMatches)
 {
-  // The paper's ObservedRoInv refutation (§7): the fingerprint-only
-  // checker must find the same shortest counterexample the full store
-  // does, reconstructed by replay instead of stored bodies.
+  // The paper's ObservedRoInv refutation (§7): the counterexample is
+  // rebuilt by replay, so it must be a genuine path of the spec, and one
+  // and four workers must agree on its (level-minimal) length.
   specs::consistency::Params p;
   p.max_rw_txs = 1;
   p.max_ro_txs = 1;
@@ -599,37 +606,28 @@ TEST(GoldenEquivalence, ConsistencyObservedRoCounterexampleMatches)
   p.include_observed_ro = true;
   const auto spec = specs::consistency::build_spec(p);
 
-  CheckLimits fp;
-  fp.store.mode = StoreMode::fingerprint_only;
-  const auto r_full = model_check(spec);
-  const auto r_fp = model_check(spec, fp);
+  CheckLimits four;
+  four.threads = 4;
+  const auto r_one = model_check(spec);
+  const auto r_four = model_check(spec, four);
 
-  ASSERT_FALSE(r_full.ok);
-  ASSERT_FALSE(r_fp.ok);
-  ASSERT_TRUE(r_full.counterexample.has_value());
-  ASSERT_TRUE(r_fp.counterexample.has_value());
-  EXPECT_EQ(r_fp.counterexample->property, "ObservedRoInv");
-  EXPECT_EQ(r_full.stats.distinct_states, r_fp.stats.distinct_states);
-  ASSERT_EQ(
-    r_full.counterexample->steps.size(), r_fp.counterexample->steps.size());
-  for (size_t i = 0; i < r_full.counterexample->steps.size(); ++i)
+  for (const auto* r : {&r_one, &r_four})
   {
-    EXPECT_EQ(
-      r_full.counterexample->steps[i].action,
-      r_fp.counterexample->steps[i].action)
-      << "step " << i;
-    EXPECT_EQ(
-      fingerprint(r_full.counterexample->steps[i].state),
-      fingerprint(r_fp.counterexample->steps[i].state))
-      << "step " << i;
+    ASSERT_FALSE(r->ok);
+    ASSERT_TRUE(r->counterexample.has_value());
+    EXPECT_EQ(r->counterexample->property, "ObservedRoInv");
+    expect_valid_path(spec, *r->counterexample);
+    EXPECT_FALSE(
+      specs::consistency::observed_ro_inv(r->counterexample->steps.back().state));
   }
+  EXPECT_EQ(
+    r_one.counterexample->steps.size(), r_four.counterexample->steps.size());
 }
 
 TEST(GoldenEquivalence, MemoryBudgetCutsRunAndExportsFrontier)
 {
   const auto spec = counter_spec(1'000'000);
   CheckLimits limits;
-  limits.store.mode = StoreMode::fingerprint_only;
   limits.store.memory_budget_bytes = 64 * 1024;
   ModelChecker<CounterState> checker(spec, limits);
   const auto result = checker.check();
@@ -639,8 +637,25 @@ TEST(GoldenEquivalence, MemoryBudgetCutsRunAndExportsFrontier)
   EXPECT_LT(result.stats.distinct_states, 1'000'000u);
   EXPECT_GT(result.stats.distinct_states, 0u);
   EXPECT_GT(result.stats.store_bytes, limits.store.memory_budget_bytes);
+  EXPECT_GT(result.stats.peak_frontier_bytes, 0u);
   // The unexpanded frontier is exported for campaign hand-off.
   EXPECT_FALSE(checker.take_frontier().empty());
+}
+
+// The budget covers the frontier's bodies too: a store far below the
+// ceiling still stops the run once the level arenas cross it.
+TEST(GoldenEquivalence, MemoryBudgetCountsFrontierBodies)
+{
+  const auto spec = counter_spec(100);
+  CheckLimits free_run;
+  const auto r = model_check(spec, free_run);
+  ASSERT_TRUE(r.stats.complete);
+  CheckLimits limits;
+  limits.store.memory_budget_bytes =
+    r.stats.store_bytes + r.stats.peak_frontier_bytes / 4;
+  const auto cut = model_check(spec, limits);
+  EXPECT_FALSE(cut.stats.complete);
+  EXPECT_LT(cut.stats.store_bytes, limits.store.memory_budget_bytes);
 }
 
 // ---- Golden equivalence: consensus trace validation ----
@@ -670,19 +685,22 @@ namespace
     return c.trace();
   }
 
+  /// `kept` ran with prune_bfs_store, whose witness is a chain of
+  /// concrete states each frontier item carries; `replayed` rebuilt its
+  /// witness from the store by replay. Both admit first-inserter-wins, so
+  /// at one worker the witnesses are the same states.
   void expect_equal_validations(
-    const ValidationResult<specs::ccfraft::State>& full,
-    const ValidationResult<specs::ccfraft::State>& fp)
+    const ValidationResult<specs::ccfraft::State>& kept,
+    const ValidationResult<specs::ccfraft::State>& replayed)
   {
-    EXPECT_EQ(full.ok, fp.ok);
-    EXPECT_EQ(full.lines_matched, fp.lines_matched);
-    EXPECT_EQ(full.frontier_sizes, fp.frontier_sizes);
-    EXPECT_EQ(full.states_explored, fp.states_explored);
-    ASSERT_EQ(full.witness.size(), fp.witness.size());
-    for (size_t i = 0; i < full.witness.size(); ++i)
+    EXPECT_EQ(kept.ok, replayed.ok);
+    EXPECT_EQ(kept.lines_matched, replayed.lines_matched);
+    EXPECT_EQ(kept.frontier_sizes, replayed.frontier_sizes);
+    EXPECT_EQ(kept.states_explored, replayed.states_explored);
+    ASSERT_EQ(kept.witness.size(), replayed.witness.size());
+    for (size_t i = 0; i < kept.witness.size(); ++i)
     {
-      EXPECT_EQ(fingerprint(full.witness[i]), fingerprint(fp.witness[i]))
-        << "witness step " << i;
+      EXPECT_EQ(kept.witness[i], replayed.witness[i]) << "witness step " << i;
     }
   }
 }
@@ -693,27 +711,28 @@ TEST(GoldenEquivalence, ConsensusTraceBfsWitnessMatches)
   const auto p =
     trace::validation_params({1, 2, 3}, 1, 3, consensus::BugFlags{});
 
-  trace::ConsensusValidationOptions full;
-  full.search.mode = SearchMode::Bfs;
-  trace::ConsensusValidationOptions fp = full;
-  fp.search.store.mode = StoreMode::fingerprint_only;
+  trace::ConsensusValidationOptions replay;
+  replay.search.mode = SearchMode::Bfs;
+  trace::ConsensusValidationOptions kept = replay;
+  kept.search.prune_bfs_store = true;
 
-  const auto r_full = trace::validate_consensus_trace(events, p, full);
-  const auto r_fp = trace::validate_consensus_trace(events, p, fp);
-  ASSERT_TRUE(r_full.ok);
-  ASSERT_TRUE(r_fp.ok);
-  EXPECT_EQ(r_fp.witness.size(), trace::preprocess(events).size() + 1);
-  expect_equal_validations(r_full, r_fp);
-  EXPECT_GT(r_fp.stats.store_bytes, 0u);
+  const auto r_kept = trace::validate_consensus_trace(events, p, kept);
+  const auto r_replay = trace::validate_consensus_trace(events, p, replay);
+  ASSERT_TRUE(r_kept.ok);
+  ASSERT_TRUE(r_replay.ok);
+  EXPECT_EQ(r_replay.witness.size(), trace::preprocess(events).size() + 1);
+  expect_equal_validations(r_kept, r_replay);
+  EXPECT_GT(r_replay.stats.store_bytes, 0u);
 }
 
 TEST(GoldenEquivalence, FaultComposedWitnessReplayMatches)
 {
   // IsFault · Next composition (Listing 5): each trace line here demands
   // a jump of 2 while the line expander only steps by 1, so EVERY witness
-  // step needs exactly one composed (unlogged) fault. The fingerprint-only
-  // witness replay runs through the same with_faults() expansion as the
-  // search — full-trace BFS with fault composition on the consensus spec
+  // step needs exactly one composed (unlogged) fault. The witness replay
+  // runs through the same with_faults() expansion as the search, and is
+  // checked against the chain-keeping prune_bfs_store witness — full-trace
+  // BFS with fault composition on the consensus spec
   // is combinatorial (§6.4, "about an hour with BFS"), so the forcing
   // house is this small spec, not a cluster trace.
   std::vector<TraceLineExpander<CounterState>> lines;
@@ -733,32 +752,33 @@ TEST(GoldenEquivalence, FaultComposedWitnessReplayMatches)
     emit(CounterState{s.value + 1});
   };
 
-  ValidationOptions full;
-  full.mode = SearchMode::Bfs;
-  full.max_faults_per_step = 1;
-  ValidationOptions fp = full;
-  fp.store.mode = StoreMode::fingerprint_only;
+  ValidationOptions kept;
+  kept.mode = SearchMode::Bfs;
+  kept.max_faults_per_step = 1;
+  kept.prune_bfs_store = true;
+  ValidationOptions replay = kept;
+  replay.prune_bfs_store = false;
 
-  TraceValidator<CounterState> v_full({CounterState{0}}, lines, full);
-  v_full.set_fault_expander(fault);
-  const auto r_full = v_full.run();
-  TraceValidator<CounterState> v_fp({CounterState{0}}, lines, fp);
-  v_fp.set_fault_expander(fault);
-  const auto r_fp = v_fp.run();
+  TraceValidator<CounterState> v_kept({CounterState{0}}, lines, kept);
+  v_kept.set_fault_expander(fault);
+  const auto r_kept = v_kept.run();
+  TraceValidator<CounterState> v_replay({CounterState{0}}, lines, replay);
+  v_replay.set_fault_expander(fault);
+  const auto r_replay = v_replay.run();
 
-  ASSERT_TRUE(r_full.ok);
-  ASSERT_TRUE(r_fp.ok);
-  EXPECT_EQ(r_full.lines_matched, r_fp.lines_matched);
-  EXPECT_EQ(r_full.frontier_sizes, r_fp.frontier_sizes);
-  EXPECT_EQ(r_full.states_explored, r_fp.states_explored);
-  ASSERT_EQ(r_full.witness.size(), 7u);
-  ASSERT_EQ(r_fp.witness.size(), 7u);
+  ASSERT_TRUE(r_kept.ok);
+  ASSERT_TRUE(r_replay.ok);
+  EXPECT_EQ(r_kept.lines_matched, r_replay.lines_matched);
+  EXPECT_EQ(r_kept.frontier_sizes, r_replay.frontier_sizes);
+  EXPECT_EQ(r_kept.states_explored, r_replay.states_explored);
+  ASSERT_EQ(r_kept.witness.size(), 7u);
+  ASSERT_EQ(r_replay.witness.size(), 7u);
   for (size_t i = 0; i < 7; ++i)
   {
     // Fault steps fold into the line they precede: the witness lands on
     // the even values only.
-    EXPECT_EQ(r_full.witness[i], CounterState{2 * static_cast<int>(i)});
-    EXPECT_EQ(r_fp.witness[i], r_full.witness[i]);
+    EXPECT_EQ(r_kept.witness[i], CounterState{2 * static_cast<int>(i)});
+    EXPECT_EQ(r_replay.witness[i], r_kept.witness[i]);
   }
 }
 
@@ -770,7 +790,6 @@ TEST(GoldenEquivalence, ConsensusTraceParallelBfsFpOnlyMatchesSequential)
 
   trace::ConsensusValidationOptions seq;
   seq.search.mode = SearchMode::Bfs;
-  seq.search.store.mode = StoreMode::fingerprint_only;
   trace::ConsensusValidationOptions par = seq;
   par.search.threads = 4;
 
@@ -800,19 +819,19 @@ TEST(GoldenEquivalence, ConsensusTraceRejectionDiagnosticsMatch)
   const auto p =
     trace::validation_params({1, 2, 3}, 1, 3, consensus::BugFlags{});
 
-  trace::ConsensusValidationOptions full;
-  full.search.mode = SearchMode::Bfs;
-  trace::ConsensusValidationOptions fp = full;
-  fp.search.store.mode = StoreMode::fingerprint_only;
+  trace::ConsensusValidationOptions replay;
+  replay.search.mode = SearchMode::Bfs;
+  trace::ConsensusValidationOptions kept = replay;
+  kept.search.prune_bfs_store = true;
 
-  const auto r_full = trace::validate_consensus_trace(events, p, full);
-  const auto r_fp = trace::validate_consensus_trace(events, p, fp);
-  EXPECT_FALSE(r_full.ok);
-  EXPECT_FALSE(r_fp.ok);
-  EXPECT_EQ(r_full.lines_matched, r_fp.lines_matched);
-  EXPECT_EQ(r_full.failed_line, r_fp.failed_line);
+  const auto r_kept = trace::validate_consensus_trace(events, p, kept);
+  const auto r_replay = trace::validate_consensus_trace(events, p, replay);
+  EXPECT_FALSE(r_kept.ok);
+  EXPECT_FALSE(r_replay.ok);
+  EXPECT_EQ(r_kept.lines_matched, r_replay.lines_matched);
+  EXPECT_EQ(r_kept.failed_line, r_replay.failed_line);
   EXPECT_EQ(
-    r_full.frontier_at_failure.size(), r_fp.frontier_at_failure.size());
+    r_kept.frontier_at_failure.size(), r_replay.frontier_at_failure.size());
 }
 
 // ---- Rehash under concurrent insert (TSan) ----
@@ -820,7 +839,7 @@ TEST(GoldenEquivalence, ConsensusTraceRejectionDiagnosticsMatch)
 TEST(StoreConcurrency, RehashUnderContention)
 {
   using Store = ShardedStateStore<CounterState>;
-  Store store(4, fp_only());
+  Store store(4);
   constexpr unsigned n_threads = 4;
   constexpr int per_thread = 50'000;
   std::vector<std::thread> threads;
@@ -830,11 +849,9 @@ TEST(StoreConcurrency, RehashUnderContention)
       for (int i = 0; i < per_thread; ++i)
       {
         const int value = static_cast<int>(t) * per_thread + i;
-        const CounterState s{value};
         // Injective synthetic fingerprint: every state distinct, inserts
         // spread over all shards, tables rehash many times under load.
         store.insert(
-          s,
           static_cast<uint64_t>(value) + 1,
           Store::no_parent,
           Store::init_action,
@@ -859,10 +876,8 @@ TEST(StoreConcurrency, RehashUnderContention)
   // Every state is findable post-join (dedup says "present").
   for (int value : {0, 1, per_thread, 3 * per_thread + 17})
   {
-    const CounterState s{value};
     EXPECT_FALSE(store
                    .insert(
-                     s,
                      static_cast<uint64_t>(value) + 1,
                      Store::no_parent,
                      Store::init_action,
@@ -877,7 +892,7 @@ TEST(StoreConcurrency, RehashUnderContention)
 TEST(Spill, RoundTripPreservesRecordsByteForByte)
 {
   using Store = ShardedStateStore<CounterState>;
-  StoreOptions options = fp_only();
+  StoreOptions options;
   options.spill_dir = make_spill_dir();
   ASSERT_FALSE(options.spill_dir.empty());
   // Zero budget: every frozen block spills on maybe_spill().
@@ -890,9 +905,7 @@ TEST(Spill, RoundTripPreservesRecordsByteForByte)
   ids.reserve(n);
   for (uint32_t i = 0; i < n; ++i)
   {
-    const CounterState s{static_cast<int>(i)};
     const auto ins = store.insert(
-      s,
       static_cast<uint64_t>(i) + 1,
       prev,
       i == 0 ? Store::init_action : i % 7,
@@ -900,7 +913,6 @@ TEST(Spill, RoundTripPreservesRecordsByteForByte)
       static_cast<uint8_t>(i % 3));
     ASSERT_TRUE(ins.inserted);
     ids.push_back(ins.id);
-    store.drop_body(ins.id);
     prev = ins.id;
   }
 
@@ -929,11 +941,9 @@ TEST(Spill, RoundTripPreservesRecordsByteForByte)
   // inserts coexist.
   for (uint32_t i = n; i < n + 70000; ++i)
   {
-    const CounterState s{static_cast<int>(i)};
-    const auto ins = store.insert(
-      s, static_cast<uint64_t>(i) + 1, prev, i % 7, i);
+    const auto ins =
+      store.insert(static_cast<uint64_t>(i) + 1, prev, i % 7, i);
     ASSERT_TRUE(ins.inserted);
-    store.drop_body(ins.id);
     prev = ins.id;
   }
   store.maybe_spill();
@@ -947,17 +957,15 @@ TEST(Spill, RoundTripPreservesRecordsByteForByte)
 TEST(Spill, ClearReleasesSpillAndStoreIsReusable)
 {
   using Store = ShardedStateStore<CounterState>;
-  StoreOptions options = fp_only();
+  StoreOptions options;
   options.spill_dir = make_spill_dir();
   Store store(1, options);
 
   Store::Id prev = Store::no_parent;
   for (uint32_t i = 0; i < 70000; ++i)
   {
-    const CounterState s{static_cast<int>(i)};
     prev = store
              .insert(
-               s,
                static_cast<uint64_t>(i) + 1,
                prev,
                i == 0 ? Store::init_action : 0,
@@ -974,28 +982,28 @@ TEST(Spill, ClearReleasesSpillAndStoreIsReusable)
 
   const CounterState s{1};
   const auto ins =
-    store.insert(s, fingerprint(s), Store::no_parent, Store::init_action, 0);
+    store.insert(fingerprint(s), Store::no_parent, Store::init_action, 0);
   EXPECT_TRUE(ins.inserted);
-  EXPECT_EQ(store.record(ins.id).state(), s);
+  EXPECT_EQ(store.find(fingerprint(s)), ins.id);
+  EXPECT_EQ(store.record(ins.id).parent, Store::no_parent);
 
   ::rmdir(options.spill_dir.c_str());
 }
 
 TEST(Spill, CheckerSpillsAtHousekeepingPointsAndStaysCorrect)
 {
-  // End-to-end: a sequential fingerprint-only check with an aggressive
-  // spill policy (zero budget) still explores the exact same space and
-  // reports spilled bytes once the arena freezes a block (>65536 states).
+  // End-to-end: a sequential check with an aggressive spill policy (zero
+  // budget) still explores the exact same space and reports spilled
+  // bytes once the arena freezes a block (>65536 states).
   auto spec = counter_spec(200'000);
-  CheckLimits fp;
-  fp.store.mode = StoreMode::fingerprint_only;
-  fp.store.spill_dir = make_spill_dir();
-  const auto r_fp = model_check(spec, fp);
-  const auto r_full = model_check(spec);
+  CheckLimits spill;
+  spill.store.spill_dir = make_spill_dir();
+  const auto r_spill = model_check(spec, spill);
+  const auto r_heap = model_check(spec);
 
-  EXPECT_TRUE(r_fp.ok);
-  EXPECT_TRUE(r_fp.stats.complete);
-  EXPECT_EQ(r_fp.stats.distinct_states, r_full.stats.distinct_states);
-  EXPECT_GT(r_fp.stats.spilled_bytes, 0u);
-  ::rmdir(fp.store.spill_dir.c_str());
+  EXPECT_TRUE(r_spill.ok);
+  EXPECT_TRUE(r_spill.stats.complete);
+  EXPECT_EQ(r_spill.stats.distinct_states, r_heap.stats.distinct_states);
+  EXPECT_GT(r_spill.stats.spilled_bytes, 0u);
+  ::rmdir(spill.store.spill_dir.c_str());
 }

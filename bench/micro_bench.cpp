@@ -1,7 +1,7 @@
 // Google-benchmark micro benchmarks for the substrates: hashing, Merkle
 // tree maintenance, message serialization, the simulated network, the KV
-// store and its replicated payload codec, single-node protocol steps, and
-// spec-state fingerprinting. These
+// store and its replicated payload codec, single-node protocol steps,
+// spec-state fingerprinting and one-worker DFS trace validation. These
 // quantify the cost of the building blocks the verification workloads
 // (Table 1) are made of.
 #include <benchmark/benchmark.h>
@@ -13,6 +13,7 @@
 #include "consensus/raft_node.h"
 #include "crypto/merkle_tree.h"
 #include "crypto/sha256.h"
+#include "driver/nemesis.h"
 #include "kv/store.h"
 #include "kv/tx.h"
 #include "net/sim_network.h"
@@ -22,6 +23,7 @@
 #include "spec/symmetry.h"
 #include "specs/consensus/spec.h"
 #include "specs/consensus/symmetry.h"
+#include "trace/consensus_binding.h"
 
 using namespace scv;
 
@@ -162,6 +164,28 @@ static void BM_KvDecodePayload(benchmark::State& state)
   }
 }
 BENCHMARK(BM_KvDecodePayload);
+
+static void BM_KvGetAtColdKey(benchmark::State& state)
+{
+  // A key written once at version 1 and read at the head of a history of
+  // range(0) versions that write other keys: the per-key version index
+  // keeps the read at O(log writes to that key), flat across sizes. The
+  // first read builds the index, outside the timed loop.
+  kv::Store store;
+  store.apply({{{"smallbank.checking/cold", "100"}}});
+  for (int64_t v = 1; v < state.range(0); ++v)
+  {
+    store.apply({{{"smallbank.checking/" + std::to_string(v % 50), "1"}}});
+  }
+  const std::string key = "smallbank.checking/cold";
+  const kv::Version head = store.current_version();
+  benchmark::DoNotOptimize(store.get_at(key, head));
+  for (auto _ : state)
+  {
+    benchmark::DoNotOptimize(store.get_at(key, head));
+  }
+}
+BENCHMARK(BM_KvGetAtColdKey)->Arg(1000)->Arg(10000)->Arg(100000);
 
 static void BM_RaftReplicationRound(benchmark::State& state)
 {
@@ -354,6 +378,54 @@ static void BM_ExpanderFaultClosure(benchmark::State& state)
   }
 }
 BENCHMARK(BM_ExpanderFaultClosure);
+
+static void BM_ValidateDfs(benchmark::State& state)
+{
+  // The validator layer: one-worker DFS with one drop/duplicate fault per
+  // line and a 20,000-state cap (the nemesis' and the tracecheck
+  // workload's shape) over one fixed trace, the first nemesis schedule of
+  // seed 2026 with 6-12 ops that runs.
+  driver::nemesis::NemesisOptions nopts;
+  nopts.seed = 2026;
+  nopts.min_ops = 6;
+  nopts.max_ops = 12;
+  const driver::nemesis::Nemesis nemesis(nopts);
+  std::vector<trace::TraceEvent> events;
+  specs::ccfraft::Params params;
+  for (uint64_t run = 0;; ++run)
+  {
+    const auto schedule = nemesis.generate(run);
+    auto out = nemesis.execute(schedule);
+    if (out.script_error || out.violation)
+    {
+      continue;
+    }
+    events = std::move(out.trace);
+    params = trace::validation_params(
+      {schedule.initial_config.begin(), schedule.initial_config.end()},
+      schedule.initial_leader,
+      static_cast<uint8_t>(schedule.max_node),
+      nopts.node_template.bugs);
+    break;
+  }
+  trace::ConsensusValidationOptions o;
+  o.fault_composition = true;
+  o.search.mode = spec::SearchMode::Dfs;
+  o.search.max_states = 20000;
+  spec::ValidationResult<specs::ccfraft::State> r;
+  for (auto _ : state)
+  {
+    r = trace::validate_consensus_trace(events, params, o);
+    benchmark::DoNotOptimize(r.ok);
+  }
+  if (!r.ok)
+  {
+    state.SkipWithError("the fixed nemesis trace did not validate");
+  }
+  state.counters["lines"] = static_cast<double>(r.lines_matched);
+  state.counters["states"] = static_cast<double>(r.states_explored);
+}
+BENCHMARK(BM_ValidateDfs);
 
 /// The first `count` states a BFS of the Table-1 model reaches, each once.
 static std::vector<specs::ccfraft::State> table1_states(size_t count)

@@ -175,7 +175,9 @@ done
 # statestore_test, parallel_spec_test and campaign_test), ByteSink and the packed consensus encoder
 # (memcpy into a grown buffer), SmallVec (elements constructed and
 # destroyed by hand in inline slots and heap blocks), the one-worker DFS
-# (frames reused across descents, the witness moved out of them), the
+# (frames reused across descents, each pointing at its entered state in
+# the parent frame's successor vector, the witness moved out of them;
+# nemesis_test drives it over long nemesis traces), the
 # symmetry canonicalizer (states permuted in place), the checker
 # suites, where moved-from successors flow through the engines, and the
 # serving suites: SHA-256 (whole blocks read straight from the input,
@@ -196,12 +198,12 @@ cmake --build build-asan -j "${JOBS}" --target statestore_test util_test \
   trace_validation_test validator_golden_test checker_golden_test \
   consensus_spec_test spec_framework_test alloc_budget_test symmetry_test \
   crypto_test consensus_test session_test kv_test campaign_test \
-  parallel_spec_test
+  parallel_spec_test nemesis_test
 for t in statestore_test util_test trace_validation_test \
   validator_golden_test checker_golden_test consensus_spec_test \
   spec_framework_test alloc_budget_test symmetry_test \
   crypto_test consensus_test session_test kv_test campaign_test \
-  parallel_spec_test; do
+  parallel_spec_test nemesis_test; do
   echo "--- ${t} (asan) ---"
   "./build-asan/tests/${t}"
 done

@@ -21,6 +21,13 @@
 // least the largest per-engine count, the union does not exceed the sum
 // of per-engine counts, and — when the checker finished early — the
 // leftover-budget reassignment is visible in the simulator's allotment.
+//
+// --symmetry starts the model from its permutation-closed initial-state
+// set (every non-empty subset of nodes, any member as leader; from the one
+// bootstrapped state no two reachable states of this model are
+// permutations of each other), first checks it once without the quotient
+// outside the box, and prints both distinct counts; a complete check must
+// then find strictly fewer states with the quotient.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +35,7 @@
 
 #include "driver/cluster.h"
 #include "spec/campaign.h"
+#include "spec/model_checker.h"
 #include "specs/consensus/spec.h"
 #include "trace/consensus_binding.h"
 #include "trace/preprocess.h"
@@ -107,7 +115,20 @@ int main(int argc, char** argv)
   p.max_batch = 2;
   p.max_network = 3;
   p.max_copies = 1;
-  const auto spec = specs::ccfraft::build_spec(p);
+  auto spec = specs::ccfraft::build_spec(p);
+  uint64_t concrete_distinct = 0;
+  if (symmetry)
+  {
+    spec.init = specs::ccfraft::all_initial_states(p);
+    spec::CheckLimits concrete;
+    concrete.threads = threads;
+    if (check_cap > 0)
+    {
+      concrete.max_distinct_states = check_cap;
+    }
+    concrete_distinct =
+      spec::model_check(spec, concrete).stats.distinct_states;
+  }
 
   spec::Campaign<State>::Options copts;
   copts.total_seconds = seconds;
@@ -197,6 +218,22 @@ int main(int argc, char** argv)
       "seeded %llu walks from them\n",
       campaign.frontier().size(),
       static_cast<unsigned long long>(sim->stats.seeded_states));
+  }
+  if (symmetry)
+  {
+    const uint64_t quotient = check->stats.distinct_states;
+    std::printf(
+      "symmetry: checker found %llu distinct states with the quotient, "
+      "%llu without it (%.2fx)\n",
+      static_cast<unsigned long long>(quotient),
+      static_cast<unsigned long long>(concrete_distinct),
+      static_cast<double>(concrete_distinct) /
+        static_cast<double>(std::max<uint64_t>(quotient, 1)));
+    if (check->stats.complete && quotient >= concrete_distinct)
+    {
+      std::fprintf(stderr, "FAIL: the symmetry quotient reduced nothing\n");
+      return 1;
+    }
   }
   std::printf("campaign OK: all phases ran, union coverage consistent\n");
   return 0;

@@ -1,6 +1,7 @@
 #include "driver/session.h"
 
 #include <algorithm>
+#include <memory>
 
 namespace scv::driver
 {
@@ -291,11 +292,31 @@ namespace scv::driver
     // Ordered-but-uncommitted Data entries in the node's ledger, newest
     // first, overlaid on its committed store — so a transaction in the
     // open signature batch reads the writes of its batch predecessors
-    // (the leader executes speculatively, §2.1).
-    return [this, id](
+    // (the leader executes speculatively, §2.1). Each entry is decoded at
+    // most once per view: the decoded write sets (newest first) are kept
+    // while the last entry's (index, term) is unchanged, which in Raft
+    // pins every entry below it too.
+    struct Decoded
+    {
+      Index last = 0;
+      consensus::Term term = 0;
+      /// Outer: decoded yet; inner: decode_payload's result (nullopt for
+      /// a payload that is not a write set).
+      std::vector<std::optional<std::optional<kv::WriteSet>>> newest_first;
+    };
+    auto decoded = std::make_shared<Decoded>();
+    return [this, id, decoded](
              const std::string& full_key) -> std::optional<std::string> {
       const auto& node = cluster_.node(id);
       const auto& ledger = node.ledger();
+      if (
+        decoded->last != ledger.last_index() ||
+        decoded->term != ledger.last_term())
+      {
+        decoded->last = ledger.last_index();
+        decoded->term = ledger.last_term();
+        decoded->newest_first.clear();
+      }
       for (Index i = ledger.last_index(); i > node.commit_index(); --i)
       {
         const auto& entry = ledger.at(i);
@@ -303,12 +324,22 @@ namespace scv::driver
         {
           continue;
         }
-        const auto ws = kv::decode_payload(entry.data);
+        const size_t slot = ledger.last_index() - i;
+        if (slot >= decoded->newest_first.size())
+        {
+          decoded->newest_first.resize(slot + 1);
+        }
+        auto& ws = decoded->newest_first[slot];
         if (!ws)
+        {
+          ws = kv::decode_payload(entry.data);
+        }
+        if (!*ws)
         {
           continue;
         }
-        for (auto it = ws->writes.rbegin(); it != ws->writes.rend(); ++it)
+        const auto& writes = (*ws)->writes;
+        for (auto it = writes.rbegin(); it != writes.rend(); ++it)
         {
           if (it->key == full_key)
           {

@@ -1,5 +1,8 @@
 #include "kv/store.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -57,16 +60,24 @@ namespace scv::kv
       "no reads below a hole: version " << version
                                         << " predates the snapshot image at "
                                         << base_version_);
-    // Scan backwards for the most recent write to the key.
-    for (size_t v = version - base_version_; v-- > 0;)
+    // The key's last write at or below `version`, if it has one above the
+    // base; within that version's write set the last write wins. A
+    // candidate without the key was written by a key of the same hash.
+    index_applied();
+    const auto found = versions_of_.find(std::hash<std::string>{}(key));
+    if (found != versions_of_.end())
     {
-      for (auto it = applied_[v].writes.rbegin();
-           it != applied_[v].writes.rend();
-           ++it)
+      const auto& versions = found->second;
+      for (auto v = std::upper_bound(versions.begin(), versions.end(), version);
+           v != versions.begin();)
       {
-        if (it->key == key)
+        const auto& writes = applied_[*--v - base_version_ - 1].writes;
+        for (auto it = writes.rbegin(); it != writes.rend(); ++it)
         {
-          return it->value;
+          if (it->key == key)
+          {
+            return it->value;
+          }
         }
       }
     }
@@ -173,6 +184,8 @@ namespace scv::kv
     Store fresh = from_image(image, base_version);
     base_ = std::move(fresh.base_);
     applied_.clear();
+    versions_of_.clear();
+    indexed_upto_ = fresh.base_version_;
     base_version_ = fresh.base_version_;
     commit_version_ = fresh.commit_version_;
   }
@@ -202,7 +215,44 @@ namespace scv::kv
     SCV_CHECK_MSG(
       version >= commit_version_, "cannot roll back committed versions");
     SCV_CHECK(version <= current_version());
+    for (Version v = indexed_upto_; v > version; --v)
+    {
+      for (const auto& w : applied_[v - base_version_ - 1].writes)
+      {
+        const auto found =
+          versions_of_.find(std::hash<std::string>{}(w.key));
+        if (
+          found != versions_of_.end() && !found->second.empty() &&
+          found->second.back() == v)
+        {
+          found->second.resize(found->second.size() - 1);
+          if (found->second.empty())
+          {
+            versions_of_.erase(found);
+          }
+        }
+      }
+    }
+    indexed_upto_ = std::min(indexed_upto_, version);
     applied_.resize(version - base_version_);
+  }
+
+  void Store::index_applied() const
+  {
+    for (Version v = std::max(indexed_upto_, base_version_) + 1;
+         v <= current_version();
+         ++v)
+    {
+      for (const auto& w : applied_[v - base_version_ - 1].writes)
+      {
+        auto& versions = versions_of_[std::hash<std::string>{}(w.key)];
+        if (versions.empty() || versions.back() != v)
+        {
+          versions.push_back(v);
+        }
+      }
+    }
+    indexed_upto_ = current_version();
   }
 
   void Store::on_ordered(const std::string& prefix, Hook hook)

@@ -20,7 +20,10 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
+
+#include "util/small_vec.h"
 
 namespace scv::kv
 {
@@ -53,7 +56,11 @@ namespace scv::kv
     /// Current value of a key, or nullopt if absent.
     [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
 
-    /// Value of a key as of a historical version.
+    /// Value of a key as of a historical version: O(log writes to that
+    /// key), whatever the length of the history, once the version index
+    /// has caught up with the versions applied since the last read. The
+    /// catch-up writes the store's index cache, so one store must not be
+    /// read from two threads at once.
     [[nodiscard]] std::optional<std::string> get_at(
       const std::string& key, Version version) const;
 
@@ -124,6 +131,9 @@ namespace scv::kv
       Hook hook;
     };
 
+    /// Indexes the versions applied since the index last caught up.
+    void index_applied() const;
+
     [[nodiscard]] static bool touches_prefix(
       const WriteSet& ws, const std::string& prefix);
 
@@ -134,6 +144,18 @@ namespace scv::kv
     // version v (v > base_version_) = applied_[v - base_version_ - 1];
     // versions <= base_version_ are materialized in base_.
     std::vector<WriteSet> applied_;
+    // Per std::hash of a key, the versions in (base_version_,
+    // indexed_upto_] that write a key with that hash, ascending. Built on
+    // read, not on apply(): in a cluster only the leader's store serves
+    // reads, so its followers never pay for an index. rollback() pops
+    // from it and an image install clears it. get_at() binary-searches it
+    // instead of scanning applied_, and confirms the key in each
+    // candidate's write set, so a hash collision costs a look at one more
+    // version, never a wrong value. Keyed by hash, so indexing copies no
+    // key; most keys are written once or twice, so their versions stay
+    // inline.
+    mutable std::unordered_map<size_t, SmallVec<Version, 2>> versions_of_;
+    mutable Version indexed_upto_ = 0;
     std::map<std::string, std::string> base_;
     Version base_version_ = 0;
     Version commit_version_ = 0;

@@ -136,29 +136,41 @@ namespace scv::spec
       return static_cast<bool>(fault_) && max_fault_layers_ > 0;
     }
 
-    /// Calls on_state(const S&) on `state` and on every *distinct* state
-    /// reachable from it by up to max_layers applications of the fault
-    /// expander (deduplicated by fingerprint across the whole closure,
-    /// including `state` itself). The states are lent, not handed over:
-    /// on_state reads each one before the closure moves on.
+    /// Calls on_state(const S&) on `state` and then on its fault closure
+    /// (fault_closure() below), in that order: the BFS search and its
+    /// witness replay expand a line on every state this lends.
     ///
     /// The base state is passed unconditionally — callers gate it
     /// themselves before asking for the closure (the trace validator's
     /// searches must consider the un-faulted state even where an engine
-    /// would prune it). Fault-generated states, by contrast, honor the
-    /// bound spec's state constraint: a closure step that leaves the
-    /// constraint is neither passed on nor expanded further, exactly as
-    /// the engines never expand out-of-constraint states. An unbound
-    /// Expander (trace validation) has no constraint, so nothing is gated
-    /// there.
-    ///
-    /// Not reentrant: on_state must not call with_faults() on the same
-    /// thread (the per-thread scratch below is reused across calls; no
-    /// caller nests closures).
+    /// would prune it).
     template <class F>
     void with_faults(const S& state, F&& on_state) const
     {
       on_state(state);
+      fault_closure(state, on_state);
+    }
+
+    /// Calls on_state(const S&) on every *distinct* state other than
+    /// `state` reachable from it by 1..max_layers applications of the
+    /// fault expander (deduplicated by fingerprint across the whole
+    /// closure, including `state` itself, which is never passed). The
+    /// states are lent, not handed over: on_state reads each one before
+    /// the closure moves on. The DFS asks for it only once the line has
+    /// failed on the base state alone.
+    ///
+    /// Fault-generated states honor the bound spec's state constraint: a
+    /// closure step that leaves the constraint is neither passed on nor
+    /// expanded further, exactly as the engines never expand
+    /// out-of-constraint states. An unbound Expander (trace validation)
+    /// has no constraint, so nothing is gated there.
+    ///
+    /// Not reentrant: on_state must not build another closure on the same
+    /// thread (the per-thread scratch below is reused across calls; no
+    /// caller nests closures).
+    template <class F>
+    void fault_closure(const S& state, F&& on_state) const
+    {
       if (!has_fault())
       {
         return;

@@ -22,7 +22,13 @@
 //    so production traces of any length cannot overflow the C stack. It
 //    always runs on one worker, like TLC's -dfid: a witness search needs
 //    one path, so speculative sibling subtrees on other workers are wasted
-//    work. ValidationOptions::threads does not affect it.
+//    work. ValidationOptions::threads does not affect it. Each frame
+//    generates its successors in two stages: first the line on the
+//    entered state alone, and only once all of those failed, the line on
+//    every state of its fault closure. The visiting order is that of the
+//    eager IsFault · Next composition, so the search and its witness are
+//    unchanged; the closure of a frame whose first successor leads on is
+//    never built.
 //
 // On failure there is no counterexample (§6.3) — instead the result carries
 // the paper's diagnostics: the deepest line matched, the candidate states
@@ -77,6 +83,9 @@ namespace scv::spec
 
     /// Number of trace lines successfully matched (== lines.size() iff ok).
     size_t lines_matched = 0;
+    /// Candidate successors generated (the budget's work counter). DFS
+    /// generates a frame's fault-closure successors only once its plain
+    /// ones have all failed.
     uint64_t states_explored = 0;
     /// Mirror of stats.seconds (older callers).
     double seconds = 0.0;
@@ -475,10 +484,18 @@ namespace scv::spec
 
     struct Frame
     {
+      /// The state entered at `line`: an element of init_ for frame 0,
+      /// else the parent frame's taken successor. Neither moves while this
+      /// frame is live (a parent refills its successors only after every
+      /// child frame has popped; moving a Frame keeps its vector's buffer).
+      const S* state = nullptr;
       size_t line = 0;
       uint64_t fp = 0;
       std::vector<S> successors;
       size_t next = 0;
+      /// Stage 1 ran: successors hold the line's successors from the
+      /// fault closure of *state (stage 0 held those of *state itself).
+      bool faulted = false;
     };
 
     enum class Enter
@@ -562,6 +579,10 @@ namespace scv::spec
         Frame& top = frames[depth - 1];
         if (top.next == top.successors.size())
         {
+          if (!top.faulted && expand_fault_closure(top))
+          {
+            continue;
+          }
           // Post-order: every successor failed. Memoize the dead end and
           // backtrack; the frame keeps its capacity but not its states.
           dead_.insert(key(top.line, top.fp));
@@ -585,7 +606,8 @@ namespace scv::spec
     }
 
     /// The per-node prologue of the search: match/budget/dead checks,
-    /// deepest-line diagnostics, successor expansion.
+    /// deepest-line diagnostics, and stage 0 of the successor expansion
+    /// (the line on `state` itself). `state` must outlive the frame.
     Enter enter(const S& state, size_t line, Frame& out)
     {
       if (line == lines_.size())
@@ -619,17 +641,46 @@ namespace scv::spec
       }
       result_.stats.distinct_states++;
       cover(state, line);
+      out.state = &state;
       out.line = line;
       out.fp = fp;
       out.successors.clear();
       out.next = 0;
-      expander_.with_faults(state, [&](const S& pre) {
-        lines_[line].expand(pre, [&](S&& succ) {
-          result_.states_explored++;
-          out.successors.push_back(std::move(succ));
-        });
-      });
+      out.faulted = false;
+      expand_line(state, out);
       return Enter::Entered;
+    }
+
+    /// Stage 1, once every stage-0 successor of `f` failed: replaces them
+    /// with the line's successors from each state of the fault closure of
+    /// *f.state, in the closure's order — the tail the eager composition
+    /// would have emitted after them. Returns whether there are any.
+    bool expand_fault_closure(Frame& f)
+    {
+      f.faulted = true;
+      f.successors.clear();
+      f.next = 0;
+      // Past the budget every successor fails on entry except one that
+      // completes the trace, so only a last-line frame still needs its
+      // closure.
+      if (
+        budget_.exhausted(result_.states_explored) &&
+        f.line + 1 < lines_.size())
+      {
+        return false;
+      }
+      expander_.fault_closure(
+        *f.state, [&](const S& pre) { expand_line(pre, f); });
+      return !f.successors.empty();
+    }
+
+    /// Appends the successors of `pre` under f's line to f.successors.
+    void expand_line(const S& pre, Frame& f)
+    {
+      lines_[f.line].expand(pre, [&](S&& succ) {
+        result_.states_explored++;
+        f.successors.push_back(std::move(succ));
+      });
     }
 
     std::vector<S> init_;

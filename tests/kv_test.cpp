@@ -1,8 +1,12 @@
 // Unit tests for the KV store: versioned reads, commit/rollback semantics,
-// hook firing rules (ordered vs committed, prefix matching, ordering); and
-// the one-pass kvws1 payload decoder against the split-based decoder it
-// replaced, kept here as the oracle.
+// hook firing rules (ordered vs committed, prefix matching, ordering); the
+// per-key version index behind get_at against the backward scan it
+// replaced; and the one-pass kvws1 payload decoder against the
+// split-based decoder it replaced. Both replaced versions are kept here as
+// oracles.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "kv/store.h"
 #include "kv/tx.h"
@@ -176,6 +180,141 @@ TEST(Store, HookReceivesWriteSet)
   const WriteSet ws = set_of("ccf.gov.nodes.info", "1,2");
   s.apply(ws);
   EXPECT_EQ(seen, ws);
+}
+
+namespace
+{
+  /// The backward scan get_at made before the per-key version index, over
+  /// its own copy of the history: the last write to the key in versions
+  /// (base, version], else the base image.
+  struct ScanOracle
+  {
+    std::map<std::string, std::string> base;
+    Version base_version = 0;
+    std::vector<WriteSet> applied;
+
+    [[nodiscard]] Version current() const
+    {
+      return base_version + applied.size();
+    }
+
+    [[nodiscard]] std::optional<std::string> get_at(
+      const std::string& key, Version version) const
+    {
+      for (size_t v = version - base_version; v-- > 0;)
+      {
+        for (auto it = applied[v].writes.rbegin();
+             it != applied[v].writes.rend();
+             ++it)
+        {
+          if (it->key == key)
+          {
+            return it->value;
+          }
+        }
+      }
+      const auto it = base.find(key);
+      if (it != base.end())
+      {
+        return it->second;
+      }
+      return std::nullopt;
+    }
+  };
+
+  const std::vector<std::string> oracle_keys = {"a", "b", "c", "d", "e"};
+
+  WriteSet random_key_writes(Rng& rng)
+  {
+    // Repeated keys within one write set are allowed: the last one wins.
+    WriteSet ws;
+    const size_t n = rng.below(4);
+    for (size_t i = 0; i < n; ++i)
+    {
+      KeyWrite w;
+      w.key = oracle_keys[rng.below(oracle_keys.size())];
+      if (rng.below(5) != 0)
+      {
+        w.value = std::to_string(rng.below(1000));
+      }
+      ws.writes.push_back(std::move(w));
+    }
+    return ws;
+  }
+}
+
+TEST(StoreVersionIndex, GetAtMatchesBackwardScanOverRandomHistories)
+{
+  for (uint64_t seed = 1; seed <= 20; ++seed)
+  {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Rng rng(seed);
+    Store store;
+    ScanOracle oracle;
+    for (int step = 0; step < 300; ++step)
+    {
+      const uint64_t dice = rng.below(100);
+      if (dice < 60)
+      {
+        const WriteSet ws = random_key_writes(rng);
+        store.apply(ws);
+        oracle.applied.push_back(ws);
+      }
+      else if (dice < 75)
+      {
+        const Version to = store.commit_version() +
+          rng.below(store.current_version() - store.commit_version() + 1);
+        store.commit(to);
+      }
+      else if (dice < 92)
+      {
+        const Version to = store.commit_version() +
+          rng.below(store.current_version() - store.commit_version() + 1);
+        store.rollback(to);
+        oracle.applied.resize(to - oracle.base_version);
+      }
+      else
+      {
+        // A snapshot install at the commit version, in place or as a
+        // fresh store; the oracle's new base is its own materialization.
+        const Version at = store.commit_version();
+        std::map<std::string, std::string> image;
+        for (const auto& key : oracle_keys)
+        {
+          if (const auto value = oracle.get_at(key, at))
+          {
+            image[key] = *value;
+          }
+        }
+        if (dice < 96)
+        {
+          store.install_image(store.serialize_image(), at);
+        }
+        else
+        {
+          store = Store::from_image(store.serialize_image(), at);
+        }
+        oracle = {std::move(image), at, {}};
+      }
+      ASSERT_EQ(store.current_version(), oracle.current());
+      // Reads bring the index up to date, so reading after only some
+      // steps leaves rollbacks and installs to meet a partly indexed
+      // history.
+      if (rng.below(3) != 0 && step + 1 < 300)
+      {
+        continue;
+      }
+      for (Version v = store.base_version(); v <= store.current_version(); ++v)
+      {
+        for (const auto& key : oracle_keys)
+        {
+          ASSERT_EQ(store.get_at(key, v), oracle.get_at(key, v))
+            << "key " << key << " at version " << v << " after step "
+            << step;
+        }
+      }
+    }
+  }
 }
 
 namespace

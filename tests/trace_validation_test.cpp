@@ -9,11 +9,18 @@
 //    frontier).
 //  * Unlogged network faults are bridged by IsFault · Next composition.
 //  * DFS and BFS agree on the verdict; DFS is the fast default (§6.4).
+//  * The DFS builds a line's fault closure only once the successors of
+//    the un-faulted state have all failed.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
 
 #include "driver/cluster.h"
 #include "trace/consensus_binding.h"
 #include "trace/preprocess.h"
+#include "util/hash.h"
+#include "util/rng.h"
 
 using namespace scv;
 using namespace scv::driver;
@@ -808,4 +815,229 @@ TEST(TraceValidation, DiagnosticsIncludeFrontierSizes)
   {
     EXPECT_GE(size, 1u);
   }
+}
+
+// ---- Lazy fault composition in the DFS ----
+
+namespace
+{
+  using specs::ccfraft::State;
+
+  /// The consensus binding's IsFault: drop or duplicate any in-flight
+  /// message.
+  void drop_or_duplicate(
+    const specs::ccfraft::Params& p, const State& s,
+    const spec::Emit<State>& emit)
+  {
+    for (const auto& [msg, count] : s.network)
+    {
+      specs::ccfraft::actions::drop_message(s, msg, emit);
+      specs::ccfraft::actions::duplicate_message(p, s, msg, emit);
+    }
+  }
+
+  /// One fault closure the search built: the frame's line and entered
+  /// state.
+  struct Closure
+  {
+    size_t line;
+    State base;
+  };
+
+  /// A DFS validation with one fault per line, composed like
+  /// validate_consensus_trace, whose fault expander and lines record
+  /// every closure the search builds (uncapped, so every frame that fails
+  /// builds one). With one fault layer a closure applies the fault
+  /// expander exactly once, to the frame's entered state, and a line
+  /// expansion outside it is a frame's stage 0. The recorder keeps the
+  /// frames entered along the current path; those above the closing
+  /// frame have all failed, so each has built its closure already.
+  struct RecordingValidation
+  {
+    struct Entered
+    {
+      Closure frame;
+      bool closed = false;
+    };
+
+    std::vector<spec::TraceLineExpander<State>> lines;
+    std::vector<Closure> closures;
+    spec::ValidationResult<State> result;
+
+    RecordingValidation(
+      const std::vector<TraceEvent>& raw, const specs::ccfraft::Params& p) :
+      lines(bind_consensus_trace(preprocess(raw), p))
+    {
+      bool in_closure = false;
+      std::vector<Entered> path;
+      auto recorded = lines;
+      for (size_t i = 0; i < recorded.size(); ++i)
+      {
+        recorded[i].expand = [i, &in_closure, &path, inner = lines[i].expand](
+                               const State& s, const spec::Emit<State>& emit) {
+          if (!in_closure)
+          {
+            while (!path.empty() && path.back().frame.line >= i)
+            {
+              path.pop_back();
+            }
+            path.push_back({{i, s}});
+          }
+          inner(s, emit);
+        };
+      }
+      spec::ValidationOptions o;
+      o.mode = spec::SearchMode::Dfs;
+      o.max_faults_per_step = 1;
+      spec::TraceValidator<State> validator(
+        {specs::ccfraft::initial_state(p)}, std::move(recorded), o);
+      validator.set_fault_expander(
+        [&, p](const State& s, const spec::Emit<State>& emit) {
+          auto open = std::find_if(
+            path.rbegin(), path.rend(), [](const Entered& e) {
+              return !e.closed;
+            });
+          ASSERT_NE(open, path.rend());
+          EXPECT_EQ(open->frame.base, s);
+          open->closed = true;
+          closures.push_back(open->frame);
+          in_closure = true;
+          drop_or_duplicate(p, s, emit);
+          in_closure = false;
+        });
+      result = validator.run();
+    }
+  };
+
+  /// FNV-1a of each state's serialized bytes, folded in order (the
+  /// validator goldens' witness pin).
+  uint64_t chain_hash(const std::vector<State>& states)
+  {
+    uint64_t h = fnv1a_init;
+    for (const State& s : states)
+    {
+      ByteSink sink;
+      s.serialize(sink);
+      const uint64_t v = fnv1a(sink.bytes().data(), sink.bytes().size());
+      h = fnv1a(reinterpret_cast<const uint8_t*>(&v), sizeof(v), h);
+    }
+    return h;
+  }
+
+  /// A state's serialized bytes, as a std::string: GCC 12 reports a
+  /// false -Wstringop-overread where std::vector<uint8_t> values are
+  /// ordered in a Release -Werror build.
+  std::string bytes_of(const State& s)
+  {
+    ByteSink sink;
+    s.serialize(sink);
+    return {sink.bytes().begin(), sink.bytes().end()};
+  }
+}
+
+TEST(LazyFaultClosure, HappyPathGeneratesOneSuccessorPerLineAndNoClosure)
+{
+  Cluster c(three_nodes(101));
+  c.submit("hello");
+  c.sign();
+  for (int i = 0; i < 40; ++i)
+  {
+    c.tick_all();
+    c.drain();
+  }
+  const RecordingValidation v(c.trace(), params_for(three_nodes(101), 3));
+  ASSERT_TRUE(v.result.ok) << diagnose(v.result);
+  EXPECT_EQ(v.result.states_explored, v.lines.size());
+  EXPECT_EQ(v.result.stats.distinct_states, v.lines.size());
+  EXPECT_TRUE(v.closures.empty());
+}
+
+TEST(LazyFaultClosure, ClosuresOnlyWherePlainSuccessorsAllFail)
+{
+  // The duplicated delivery needs a duplicate fault, so some closures are
+  // built. Each must belong to a frame whose every plain successor fails:
+  // an independent fault-composed search of the rest of the trace from
+  // each of them finds no witness.
+  const auto events = run_duplicate_delivery({});
+  const auto p = params_for(three_nodes(119), 3);
+  const RecordingValidation v(events, p);
+  ASSERT_TRUE(v.result.ok) << diagnose(v.result);
+  // The eager search's witness, as pinned in validator_golden_test.
+  EXPECT_EQ(chain_hash(v.result.witness), 0x5f9258ef22018715ULL);
+  ASSERT_FALSE(v.closures.empty());
+  EXPECT_LT(v.closures.size(), v.result.stats.distinct_states);
+
+  spec::ValidationOptions rest;
+  rest.mode = spec::SearchMode::Dfs;
+  rest.max_faults_per_step = 1;
+  for (const Closure& closure : v.closures)
+  {
+    const size_t line = closure.line;
+    const std::vector<spec::TraceLineExpander<State>> suffix(
+      v.lines.begin() + static_cast<ptrdiff_t>(line) + 1, v.lines.end());
+    v.lines[line].expand(closure.base, [&](State&& plain) {
+      spec::TraceValidator<State> search({std::move(plain)}, suffix, rest);
+      search.set_fault_expander(
+        [&](const State& s, const spec::Emit<State>& emit) {
+          drop_or_duplicate(p, s, emit);
+        });
+      EXPECT_FALSE(search.run().ok) << "closure at line " << line;
+    });
+  }
+}
+
+TEST(LazyFaultClosure, BaseThenClosureIsTheWithFaultsSequence)
+{
+  // Random walks over the n=3 consensus model: at every state, the base
+  // state followed by fault_closure() lends exactly the states of
+  // with_faults(), in the same order, each once, at one and two fault
+  // layers (two layers reach the base again: duplicate what was dropped).
+  specs::ccfraft::Params p;
+  p.max_network = 4;
+  const auto def = specs::ccfraft::build_spec(p);
+  Rng rng(23);
+  size_t compared = 0;
+  size_t nonempty = 0;
+  for (const size_t layers : {1u, 2u})
+  {
+    spec::Expander<State> expander;
+    expander.set_fault(
+      [&p](const State& s, const spec::Emit<State>& emit) {
+        drop_or_duplicate(p, s, emit);
+      },
+      layers);
+    for (int walk = 0; walk < 20; ++walk)
+    {
+      State s = def.init[rng.below(def.init.size())];
+      for (int step = 0; step < 30; ++step)
+      {
+        std::vector<std::string> eager;
+        expander.with_faults(
+          s, [&](const State& f) { eager.push_back(bytes_of(f)); });
+        std::vector<std::string> lazy{bytes_of(s)};
+        expander.fault_closure(
+          s, [&](const State& f) { lazy.push_back(bytes_of(f)); });
+        ASSERT_EQ(lazy, eager) << s.to_string();
+        // The closure lends each state once, and never the base.
+        const std::set<std::string> distinct(lazy.begin(), lazy.end());
+        ASSERT_EQ(distinct.size(), lazy.size()) << s.to_string();
+        compared++;
+        nonempty += eager.size() > 1 ? 1 : 0;
+
+        std::vector<State> next;
+        for (const auto& action : def.actions)
+        {
+          action.expand(
+            s, [&](State&& succ) { next.push_back(std::move(succ)); });
+        }
+        if (next.empty())
+        {
+          break;
+        }
+        s = std::move(next[rng.below(next.size())]);
+      }
+    }
+  }
+  EXPECT_GT(compared, 100u);
+  EXPECT_GT(nonempty, compared / 2);
 }

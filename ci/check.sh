@@ -25,9 +25,11 @@ run_variant build-release
 run_variant build-tsan -DSCV_SANITIZE=thread
 
 # Trace-validation smoke under TSan: the demo exercises the end-to-end
-# pipeline (scenario -> trace -> validator) in both the sequential
-# reference configuration and the parallel BFS frontier, so a data race in
-# the parallel validator fails CI even on timing-friendly hosts.
+# pipeline (scenario -> trace -> validator) at one worker and at four.
+# BFS validation model-checks the trace product spec, so the four-worker
+# run drives the checker's workers through the validator's shared
+# diagnostics and coverage taps, and a data race there fails CI even on
+# timing-friendly hosts.
 echo "=== tsan trace-validation smoke (threads=1) ==="
 ./build-tsan/examples/trace_validate_demo --threads=1
 echo "=== tsan trace-validation smoke (threads=4) ==="
@@ -172,7 +174,9 @@ done
 # blocks handed to mmap'd spill files, record views into frozen arenas),
 # the checker's level arenas (bodies constructed and destroyed by hand in
 # raw chunks that are reset and reused every other level, in
-# statestore_test, parallel_spec_test and campaign_test), ByteSink and the packed consensus encoder
+# statestore_test, parallel_spec_test and campaign_test, and holding the
+# trace product spec's (line, state) bodies under BFS validation in
+# exploration_core_test), ByteSink and the packed consensus encoder
 # (memcpy into a grown buffer), SmallVec (elements constructed and
 # destroyed by hand in inline slots and heap blocks), the one-worker DFS
 # (frames reused across descents, each pointing at its entered state in
@@ -198,12 +202,12 @@ cmake --build build-asan -j "${JOBS}" --target statestore_test util_test \
   trace_validation_test validator_golden_test checker_golden_test \
   consensus_spec_test spec_framework_test alloc_budget_test symmetry_test \
   crypto_test consensus_test session_test kv_test campaign_test \
-  parallel_spec_test nemesis_test
+  parallel_spec_test nemesis_test exploration_core_test
 for t in statestore_test util_test trace_validation_test \
   validator_golden_test checker_golden_test consensus_spec_test \
   spec_framework_test alloc_budget_test symmetry_test \
   crypto_test consensus_test session_test kv_test campaign_test \
-  parallel_spec_test nemesis_test; do
+  parallel_spec_test nemesis_test exploration_core_test; do
   echo "--- ${t} (asan) ---"
   "./build-asan/tests/${t}"
 done

@@ -3,16 +3,17 @@
 // then corrupt one line and watch validation fail with the paper's
 // "unsatisfied state" diagnostics.
 //
-//   ./trace_validate_demo [--mode=all|dfs|bfs] [--threads=N] [--prune]
+//   ./trace_validate_demo [--mode=all|dfs|bfs] [--threads=N]
 //                         [--max-diagnostics=K] [trace-output.jsonl]
 //
 // --threads selects the BFS worker count (ValidationOptions::threads; 1 =
-// the sequential reference engine, 0 = hardware concurrency): BFS splits
-// each line's frontier across the fork-join pool. DFS always runs on one
-// worker and ignores it. --mode narrows the run to one engine. --prune enables
-// the store-backed BFS memory mode (frontier-only predecessor chains).
+// one worker inline, bit-identical run to run; 0 = hardware concurrency):
+// BFS model-checks the spec conjoined with the trace, and the checker
+// splits each line's frontier across its worker pool. DFS always runs on
+// one worker and ignores it. --mode narrows the run to one engine.
 // --max-diagnostics caps the candidate states kept for the
-// unsatisfied-state report (ValidationOptions::max_diagnostic_states).
+// unsatisfied-state report (ValidationOptions::max_diagnostic_states),
+// in both modes.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,7 +32,6 @@ int main(int argc, char** argv)
   unsigned threads = 1;
   size_t max_diagnostics = 8;
   std::string mode = "all";
-  bool prune = false;
   const char* trace_path = nullptr;
   for (int i = 1; i < argc; ++i)
   {
@@ -48,10 +48,6 @@ int main(int argc, char** argv)
         return 2;
       }
     }
-    else if (std::strcmp(argv[i], "--prune") == 0)
-    {
-      prune = true;
-    }
     else if (std::strncmp(argv[i], "--max-diagnostics=", 18) == 0)
     {
       max_diagnostics = std::strtoull(argv[i] + 18, nullptr, 10);
@@ -61,8 +57,8 @@ int main(int argc, char** argv)
       trace_path = argv[i];
     }
   }
-  const bool run_dfs = mode != "bfs";
-  const bool run_bfs = mode != "dfs";
+  const bool want_dfs = mode != "bfs";
+  const bool want_bfs = mode != "dfs";
 
   // 1. Run a scenario that exercises replication, an election, and
   //    catch-up.
@@ -113,7 +109,7 @@ int main(int argc, char** argv)
   trace::ConsensusValidationOptions vopts;
   vopts.search.max_diagnostic_states = max_diagnostics;
   vopts.search.threads = threads;
-  if (run_dfs)
+  if (want_dfs)
   {
     const auto result =
       trace::validate_consensus_trace(c.trace(), params, vopts);
@@ -133,16 +129,14 @@ int main(int argc, char** argv)
     }
   }
 
-  if (run_bfs)
+  if (want_bfs)
   {
     vopts.search.mode = spec::SearchMode::Bfs;
-    vopts.search.prune_bfs_store = prune;
     const auto bfs = trace::validate_consensus_trace(c.trace(), params, vopts);
     std::printf(
-      "validation (BFS, threads=%u%s): %s — %zu/%zu lines matched, %llu "
+      "validation (BFS, threads=%u): %s — %zu/%zu lines matched, %llu "
       "states explored, witness of %zu states, %.3fs\n",
       threads,
-      prune ? ", pruned store" : "",
       bfs.ok ? "VALID" : "INVALID",
       bfs.lines_matched,
       events.size(),
@@ -171,7 +165,7 @@ int main(int argc, char** argv)
     }
   }
   vopts.search.mode =
-    run_dfs ? spec::SearchMode::Dfs : spec::SearchMode::Bfs;
+    want_dfs ? spec::SearchMode::Dfs : spec::SearchMode::Bfs;
   const auto bad = trace::validate_consensus_trace(corrupted, params, vopts);
   std::printf(
     "validation: %s — matched %zu lines, then failed at:\n  %s\n",

@@ -13,8 +13,8 @@
 // A slot is empty iff its local is empty_slot; fingerprints of empty slots
 // are never read. Duplicate fingerprints are allowed (the store checks
 // first() before it inserts, so it keeps one entry per fingerprint);
-// find() visits all of them in probe order. There is no deletion —
-// exploration stores only grow, then clear.
+// find() visits all of them in probe order. There is no deletion:
+// exploration stores only grow.
 //
 // The home slot uses the *high* bits of a Fibonacci-mixed fingerprint:
 // shard selection already consumes the low bits of (fp ^ fp >> 32), so
@@ -57,7 +57,7 @@ namespace scv::spec
       return capacity_;
     }
 
-    /// Amortized-rehash grows performed since construction/clear().
+    /// Amortized-rehash grows performed since construction.
     [[nodiscard]] uint64_t rehash_count() const
     {
       return rehashes_;
@@ -116,19 +116,6 @@ namespace scv::spec
       }
       place(fp, local);
       ++size_;
-    }
-
-    /// Empties the table but keeps its capacity: per-line clears
-    /// (prune_bfs_store) refill to a similar size and should not re-pay
-    /// the rehash ladder every line.
-    void clear()
-    {
-      for (size_t i = 0; i < capacity_; ++i)
-      {
-        locals_[i] = empty_slot;
-      }
-      size_ = 0;
-      rehashes_ = 0;
     }
 
   private:

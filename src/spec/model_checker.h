@@ -33,6 +33,10 @@
 // admission is tagged with the checker's EngineId, and the unexpanded
 // frontier of a budget-cut run is exported for the next engine to seed
 // from (take_frontier()).
+//
+// BFS trace validation (trace_validator.h) is this kernel run on the
+// trace product spec: levels are trace lines, ExplorationStats::level_sizes
+// are its per-line frontier sizes, and the counterexample is the witness.
 #pragma once
 
 #include <algorithm>
@@ -331,13 +335,20 @@ namespace scv::spec
 
       Level level;
       level.offsets.resize(pool.size() + 1);
+      uint64_t admitted_before = 0;
       for (;; level.parity ^= 1)
       {
+        // Every state admitted since the last barrier is at this depth,
+        // a violating one too, though it joins no frontier.
+        uint64_t admitted = 0;
         for (size_t w = 0; w < locals.size(); ++w)
         {
           level.offsets[w + 1] =
             level.offsets[w] + locals[w].items[level.parity].size();
+          admitted += locals[w].inserted;
         }
+        result.stats.level_sizes.push_back(admitted - admitted_before);
+        admitted_before = admitted;
         if (level.size() == 0 || stop.load(std::memory_order_acquire))
         {
           break;

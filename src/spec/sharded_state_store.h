@@ -39,7 +39,7 @@
 //   * record() takes no lock: call it only for IDs the caller
 //     inserted itself, or once all writers have been joined
 //     (path reconstruction happens after the worker pool stops).
-//   * maybe_spill(), reconstruct_path() and clear() are quiescent-only.
+//   * maybe_spill() and reconstruct_path() are quiescent-only.
 #pragma once
 
 #include <algorithm>
@@ -378,28 +378,6 @@ namespace scv::spec
         path.push_back(std::move(*next));
       }
       return path;
-    }
-
-    void clear()
-    {
-      release_spill();
-      for (Shard& shard : shards_)
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.index.clear();
-        shard.blocks.clear();
-        shard.count = 0;
-        shard.first_unspilled = 0;
-        for (auto& c : shard.origin_counts)
-        {
-          c.store(0, std::memory_order_relaxed);
-        }
-        shard.index_bytes.store(0, std::memory_order_relaxed);
-        shard.heap_arena_bytes.store(0, std::memory_order_relaxed);
-        shard.spilled_bytes.store(0, std::memory_order_relaxed);
-        shard.rehashes.store(0, std::memory_order_relaxed);
-        shard.published.store(0, std::memory_order_release);
-      }
     }
 
   private:

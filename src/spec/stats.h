@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace scv::spec
 {
@@ -70,6 +71,11 @@ namespace scv::spec
     /// share of the box.
     double budget_seconds = 0.0;
     bool complete = false; // exhausted the (constrained) state space
+    /// Checker: states admitted at each BFS depth, from the initial
+    /// states on, one entry per level barrier. A complete check ends with
+    /// the empty level (0), and the entries sum to distinct_states. Not
+    /// merged by absorb_counts().
+    std::vector<uint64_t> level_sizes;
     /// Transitions taken per action — TLC-style action coverage; an
     /// action stuck at zero usually means a guard is wrong or the model
     /// bounds starve it.

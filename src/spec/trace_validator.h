@@ -8,14 +8,14 @@
 // IsFault · Next composition (Listing 5).
 //
 // Two search modes, reproducing §6.4:
-//  * BFS computes the full frontier of candidate spec states line by line —
-//    complete but can explode with nondeterminism. The frontier lives in a
-//    ShardedStateStore (dedup scoped per line by salting the fingerprint
-//    with the line number) whose predecessor links reconstruct a full
-//    witness behavior on success; expansion of each line is split across a
-//    WorkerPool (ValidationOptions::threads, same semantics as
-//    CheckLimits::threads — threads=1 is one inline worker, bit-identical
-//    run to run).
+//  * BFS model-checks the spec conjoined with the trace, as the paper does
+//    with TLC: a state of the product spec is (line, spec state), its one
+//    action takes the next line under the fault closure, and its one
+//    invariant says some line is left. ModelChecker runs it — the same
+//    BFS kernel, store, level arenas and worker pool as exhaustive
+//    checking (ValidationOptions::threads means CheckLimits::threads) —
+//    and a violation is a match, whose counterexample is the witness.
+//    Complete, but it can explode with nondeterminism.
 //  * DFS looks for a single witness behavior with memoized dead ends —
 //    "orders of magnitude faster", which is what made trace validation
 //    usable in CI. The search runs an explicit frame stack (no recursion),
@@ -33,14 +33,15 @@
 // On failure there is no counterexample (§6.3) — instead the result carries
 // the paper's diagnostics: the deepest line matched, the candidate states
 // at that line (the "unsatisfied breakpoint" view, capped by
-// max_diagnostic_states in DFS), and per-line frontier sizes.
+// max_diagnostic_states in both modes), and, for BFS, per-line frontier
+// sizes.
 //
-// All limits route through Budget (budget_caps()); there is no private
-// deadline arithmetic in this engine.
+// All limits route through Budget (budget_caps(), or the checker's
+// CheckLimits under BFS); there is no private deadline arithmetic in this
+// engine.
 #pragma once
 
-#include <atomic>
-#include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_set>
 #include <vector>
@@ -48,10 +49,10 @@
 #include "spec/budget.h"
 #include "spec/engine.h"
 #include "spec/expander.h"
+#include "spec/model_checker.h"
 #include "spec/sharded_state_store.h"
 #include "spec/spec.h"
 #include "spec/stats.h"
-#include "spec/worker_pool.h"
 
 namespace scv::spec
 {
@@ -62,6 +63,28 @@ namespace scv::spec
   {
     std::string description; // e.g. "sndAE node=1 peer=2"
     std::function<void(const S&, const Emit<S>&)> expand;
+  };
+
+  /// A state of the trace product spec (TraceValidator::product_spec()):
+  /// the number of trace lines matched so far and the spec state reached.
+  template <SpecState S>
+  struct TraceState
+  {
+    uint32_t line = 0;
+    S state;
+
+    bool operator==(const TraceState&) const = default;
+
+    void serialize(ByteSink& sink) const
+    {
+      sink.u32(line);
+      state.serialize(sink);
+    }
+
+    [[nodiscard]] std::string to_string() const
+    {
+      return "line " + std::to_string(line) + ": " + state.to_string();
+    }
   };
 
   enum class SearchMode
@@ -83,22 +106,25 @@ namespace scv::spec
 
     /// Number of trace lines successfully matched (== lines.size() iff ok).
     size_t lines_matched = 0;
-    /// Candidate successors generated (the budget's work counter). DFS
-    /// generates a frame's fault-closure successors only once its plain
-    /// ones have all failed.
+    /// Candidate successors generated (BFS: the checker's transitions).
+    /// DFS generates a frame's fault-closure successors only once its
+    /// plain ones have all failed.
     uint64_t states_explored = 0;
     /// Mirror of stats.seconds (older callers).
     double seconds = 0.0;
-    /// Candidate states alive at the deepest line reached (diagnostics).
+    /// Candidate states at the deepest line reached (diagnostics), capped
+    /// at ValidationOptions::max_diagnostic_states.
     std::vector<S> frontier_at_failure;
     /// Description of the first line that could not be matched.
     std::string failed_line;
-    /// For BFS: frontier size after each line (|T| growth).
+    /// For BFS: states admitted after each line (|T| growth). The search
+    /// stops at the first state past the last line, so on a match the
+    /// last entry counts only what was admitted before the stop.
     std::vector<size_t> frontier_sizes;
     /// The witness behavior found: one state per line plus the initial
-    /// state (DFS: the search path; BFS: reconstructed via the store's
-    /// predecessor links). Fault steps are folded into the line they
-    /// precede.
+    /// state (DFS: the search path; BFS: the checker's counterexample,
+    /// rebuilt by exact replay). Fault steps are folded into the line
+    /// they precede.
     std::vector<S> witness;
     // Unified exploration-core statistics live in EngineReport::stats;
     // generated == states_explored, max_depth == lines_matched.
@@ -109,23 +135,17 @@ namespace scv::spec
     SearchMode mode = SearchMode::Dfs;
     /// Maximum number of fault steps composed before each line.
     size_t max_faults_per_step = 0;
+    /// Work cap. DFS: generated candidates. BFS: distinct (line, state)
+    /// pairs, the checker's max_distinct_states.
     uint64_t max_states = UINT64_MAX;
-    // threads (inherited): BFS splits each line's frontier across the
-    // fork-join pool; DFS always runs on one worker and ignores it. See
-    // docs/SPEC.md "threads semantics".
-    /// BFS only: retain predecessor chains only for the live frontier
-    /// (ROADMAP "store-backed BFS memory"). The sharded store is cleared
-    /// after every line — it then holds one line's frontier instead of
-    /// every line's — and witness reconstruction walks refcounted per-item
-    /// parent chains, which free dead branches as the frontier moves on.
-    /// Verdict, frontier sizes, work counts, and the witness are unchanged;
-    /// memory on long chaotic traces is bounded by the live frontier.
-    bool prune_bfs_store = false;
+    // threads (inherited): BFS runs the checker with that many workers;
+    // DFS always runs on one worker and ignores it. See docs/SPEC.md
+    // "threads semantics".
     /// Cap on the candidate states kept for the deepest-line diagnostics
-    /// (the DFS "unsatisfied breakpoint" view).
+    /// (the "unsatisfied breakpoint" view), in both modes.
     size_t max_diagnostic_states = 8;
 
-    /// The exploration-core budget: work counter = emitted candidates.
+    /// The DFS budget: work counter = generated candidates.
     [[nodiscard]] Budget::Caps budget_caps() const
     {
       return make_caps(max_states, UINT64_MAX);
@@ -150,16 +170,16 @@ namespace scv::spec
     /// Expander deduplicates the fault closure by fingerprint.
     void set_fault_expander(std::function<void(const S&, const Emit<S>&)> f)
     {
-      fault_ = std::move(f);
+      expander_.set_fault(std::move(f), options_.max_faults_per_step);
     }
 
-    /// Campaign mode: additionally admit every *newly visited* candidate
-    /// state into `store` (shared with other engines, never cleared),
-    /// keyed by the plain state fingerprint — unsalted, so a state the
-    /// checker or simulator already found is deduplicated, not re-counted.
-    /// Admissions are tagged `origin`; depth records the trace line. The
-    /// validator's own search store/memo are unaffected. The store must
-    /// be quiescent now and outlive the validator.
+    /// Campaign mode: additionally admit every candidate state the search
+    /// visits into `store` (shared with other engines, never cleared),
+    /// keyed by the plain state fingerprint — so a state the checker,
+    /// the simulator or an earlier line already found is deduplicated,
+    /// not re-counted. Admissions are tagged `origin`; depth records the
+    /// trace line. The validator's own search store/memo are unaffected.
+    /// The store must be quiescent now and outlive the validator.
     void set_coverage_store(
       ShardedStateStore<S>* store, EngineId origin = EngineId::Validator)
     {
@@ -167,18 +187,57 @@ namespace scv::spec
       expander_.set_origin(static_cast<uint8_t>(origin));
     }
 
+    /// The spec conjoined with the trace (§4, §6): the initial states at
+    /// line 0, one action that takes line `s.line` on the fault closure of
+    /// `s.state` and emits {line + 1, successor}, and one invariant,
+    /// line < lines.size(), whose violation is a matched trace. The
+    /// action also feeds the deepest-line diagnostics and the campaign
+    /// coverage store. The spec refers to this validator, which must
+    /// outlive it.
+    [[nodiscard]] SpecDef<TraceState<S>> product_spec()
+    {
+      using P = TraceState<S>;
+      SpecDef<P> def;
+      def.name = "trace";
+      for (const S& init : init_)
+      {
+        def.init.push_back({0, init});
+      }
+      def.actions.push_back(
+        {"line", [this](const P& s, const Emit<P>& emit) {
+           if (s.line >= lines_.size())
+           {
+             return;
+           }
+           note_candidate(s.state, s.line);
+           expander_.with_faults(s.state, [&](const S& pre) {
+             lines_[s.line].expand(pre, [&](S&& succ) {
+               cover(succ, s.line + 1);
+               emit(P{s.line + 1, std::move(succ)});
+             });
+           });
+         }});
+      def.invariants.push_back(
+        {"TraceNotMatched",
+         [n = lines_.size()](const P& s) { return s.line < n; }});
+      return def;
+    }
+
     ValidationResult<S> run()
     {
       budget_ = Budget(options_.budget_caps());
       result_ = {};
-      expander_.set_fault(fault_, options_.max_faults_per_step);
+      deepest_line_ = 0;
+      deepest_frontier_.clear();
       if (options_.mode == SearchMode::Bfs)
       {
-        run_bfs();
+        check_product();
       }
       else
       {
         run_dfs();
+        result_.stats.complete =
+          result_.ok || !budget_.exhausted(result_.states_explored);
       }
       result_.seconds = budget_.elapsed();
       result_.stats.seconds = result_.seconds;
@@ -190,17 +249,14 @@ namespace scv::spec
       result_.stats.max_depth = result_.lines_matched;
       result_.stats.fp_collision_probability = fp_collision_probability(
         result_.stats.distinct_states, result_.stats.duplicate_states);
-      result_.stats.complete =
-        result_.ok || !budget_.exhausted(result_.states_explored);
       return result_;
     }
 
   private:
     using Store = ShardedStateStore<S>;
-    using Id = typename Store::Id;
 
-    /// Dedup/memoization key for a candidate state at a given trace
-    /// position; the salt scopes each line's set separately.
+    /// Memoization key for a candidate state at a given trace position;
+    /// the salt scopes each line's set separately.
     static uint64_t key(size_t line, uint64_t fp)
     {
       return hash_combine(static_cast<uint64_t>(line) + 1, fp);
@@ -208,8 +264,8 @@ namespace scv::spec
 
     /// Campaign coverage tap: admit a candidate the search just visited
     /// into the shared store (unsalted fingerprint — global dedup across
-    /// lines and engines). Thread-safe per worker; no-op outside campaigns.
-    void cover(const S& state, size_t line, unsigned worker = 0)
+    /// lines and engines). Thread-safe; no-op outside campaigns.
+    void cover(const S& state, size_t line)
     {
       if (coverage_store_ != nullptr)
       {
@@ -218,265 +274,76 @@ namespace scv::spec
           state,
           Store::no_parent,
           Store::init_action,
-          static_cast<uint32_t>(line),
-          worker);
+          static_cast<uint32_t>(line));
       }
     }
 
-    // ---- BFS: full-frontier search, parallel across each line ----
-
-    /// Node of a refcounted predecessor chain, used when prune_bfs_store
-    /// retires store records: each live frontier item keeps its own path
-    /// back to an initial state, shared prefixes are shared, and a dead
-    /// branch's suffix frees as soon as its last descendant leaves the
-    /// frontier.
-    struct PathNode
+    /// Deepest-line diagnostics for both searches: keeps the first
+    /// max_diagnostic_states candidates asked to expand at the deepest
+    /// line so far. BFS workers call it concurrently.
+    void note_candidate(const S& state, size_t line)
     {
-      S state;
-      std::shared_ptr<PathNode> parent;
-    };
-
-    /// Releases a parent chain iteratively, stopping at the first node
-    /// someone else still references. A plain drop of the last reference
-    /// to a deep chain would run ~depth nested destructors (each node
-    /// holds the shared_ptr to its parent) and overflow the C stack on
-    /// ~100k-line traces — the exact failure mode the iterative DFS was
-    /// built to avoid.
-    static void release_chain(std::shared_ptr<PathNode>&& node)
-    {
-      while (node != nullptr && node.use_count() == 1)
+      const std::lock_guard<std::mutex> lock(diagnostics_mu_);
+      if (line > deepest_line_)
       {
-        std::shared_ptr<PathNode> parent = std::move(node->parent);
-        node.reset();
-        node = std::move(parent);
+        deepest_line_ = line;
+        deepest_frontier_.clear();
       }
-      node.reset();
+      if (
+        line == deepest_line_ &&
+        deepest_frontier_.size() < options_.max_diagnostic_states)
+      {
+        deepest_frontier_.push_back(state);
+      }
     }
 
-    /// A frontier entry carries its state: the store keeps none.
-    struct Item
+    /// A failed search reports the deepest line it was asked to expand.
+    void fail_at_deepest_line()
     {
-      S state;
-      Id id;
-      /// Only populated under prune_bfs_store.
-      std::shared_ptr<PathNode> chain;
-    };
+      result_.ok = false;
+      result_.lines_matched = deepest_line_;
+      result_.frontier_at_failure = std::move(deepest_frontier_);
+      if (deepest_line_ < lines_.size())
+      {
+        result_.failed_line = lines_[deepest_line_].description;
+      }
+    }
 
-    /// One worker's slice of a line, cache-line aligned against false sharing.
-    struct alignas(64) Local
+    // ---- BFS: model check of the trace product spec ----
+
+    void check_product()
     {
-      std::vector<Item> next;
-      uint64_t duplicates = 0;
-    };
-
-    void run_bfs()
-    {
-      const WorkerPool pool(options_.threads);
-      Store store(
-        pool.size() == 1 ? 1 : 4 * static_cast<size_t>(pool.size()),
-        options_.store);
-      const auto snapshot_store = [&] {
-        result_.stats.store_bytes = store.store_bytes();
-        result_.stats.spilled_bytes = store.spilled_bytes();
-        result_.stats.rehash_count = store.rehash_count();
-      };
-      const auto over_memory_budget = [&] {
-        return options_.store.memory_budget_bytes > 0 &&
-          store.store_bytes() > options_.store.memory_budget_bytes;
-      };
-
-      std::vector<Item> frontier;
       for (const S& init : init_)
       {
-        const auto ins = store.insert(
-          key(0, expander_.fingerprint_of(init)),
-          Store::no_parent,
-          Store::init_action,
-          0,
-          expander_.origin());
-        if (ins.inserted)
-        {
-          cover(init, 0);
-          frontier.push_back(
-            {init,
-             ins.id,
-             options_.prune_bfs_store ?
-               std::make_shared<PathNode>(PathNode{init, nullptr}) :
-               nullptr});
-        }
+        cover(init, 0);
       }
+      const SpecDef<TraceState<S>> product = product_spec();
+      CheckLimits limits;
+      limits.time_budget_seconds = options_.time_budget_seconds;
+      limits.threads = options_.threads;
+      limits.store = options_.store;
+      limits.max_distinct_states = options_.max_states;
+      CheckResult<TraceState<S>> checked = model_check(product, limits);
 
-      // Under prune_bfs_store the store is cleared per line; this
-      // accumulates the per-line counts so distinct_states still reports
-      // the whole run.
-      uint64_t pruned_distinct = 0;
-      std::atomic<uint64_t> explored{0};
-
-      for (size_t line = 0; line < lines_.size(); ++line)
+      result_.stats = std::move(checked.stats);
+      result_.states_explored = result_.stats.transitions;
+      const auto& levels = result_.stats.level_sizes;
+      if (!levels.empty())
       {
-        std::atomic<size_t> cursor{0};
-        std::atomic<bool> stop{false};
-        std::vector<Local> locals(pool.size());
-
-        pool.run([&](unsigned w) {
-          expand_line_worker(
-            w, store, frontier, line, cursor, stop, explored, locals[w]);
-        });
-
-        result_.states_explored = explored.load(std::memory_order_relaxed);
-        std::vector<Item> next;
-        for (Local& local : locals)
-        {
-          result_.stats.duplicate_states += local.duplicates;
-          next.insert(
-            next.end(),
-            std::make_move_iterator(local.next.begin()),
-            std::make_move_iterator(local.next.end()));
-        }
-        result_.frontier_sizes.push_back(next.size());
-
-        if (
-          next.empty() || budget_.exhausted(result_.states_explored) ||
-          over_memory_budget())
-        {
-          result_.ok = false;
-          result_.lines_matched = line;
-          result_.frontier_at_failure.reserve(frontier.size());
-          for (Item& item : frontier)
-          {
-            result_.frontier_at_failure.push_back(std::move(item.state));
-          }
-          result_.failed_line = lines_[line].description;
-          result_.stats.distinct_states = pruned_distinct + store.size();
-          snapshot_store();
-          release_frontier_chains(frontier);
-          release_frontier_chains(next);
-          return;
-        }
-        if (options_.prune_bfs_store)
-        {
-          // The dead lines' records have served their dedup purpose;
-          // retire them. Surviving paths live on in the items' chains.
-          pruned_distinct += store.size();
-          store.clear();
-          release_frontier_chains(frontier);
-        }
-        else
-        {
-          // Line barrier (pool joined, store quiescent): frozen record
-          // blocks may spill.
-          store.maybe_spill();
-        }
-        frontier = std::move(next);
+        result_.frontier_sizes.assign(levels.begin() + 1, levels.end());
       }
-
+      if (!checked.counterexample.has_value())
+      {
+        fail_at_deepest_line();
+        return;
+      }
       result_.ok = true;
+      result_.stats.complete = true;
       result_.lines_matched = lines_.size();
-      if (!frontier.empty())
+      result_.witness.reserve(checked.counterexample->steps.size());
+      for (auto& step : checked.counterexample->steps)
       {
-        // The witness behavior: predecessor links from the first surviving
-        // candidate back to its initial state (pool joined — record() is
-        // safe again). Pruned runs walk the item's own chain instead of
-        // the retired store records; both paths are first-inserter-wins,
-        // so threads = 1 yields the identical witness either way.
-        if (options_.prune_bfs_store)
-        {
-          std::vector<S> reversed;
-          for (const PathNode* node = frontier.front().chain.get();
-               node != nullptr;
-               node = node->parent.get())
-          {
-            reversed.push_back(node->state);
-          }
-          result_.witness.assign(reversed.rbegin(), reversed.rend());
-        }
-        else
-        {
-          // Exact replay of the recorded line chain from the initial
-          // states, through the same fault-composed expansion and the
-          // same line-salted key the search admitted with.
-          auto path = store.reconstruct_path(
-            frontier.front().id,
-            init_,
-            [&](const S& s, uint32_t action, const Emit<S>& emit) {
-              expander_.with_faults(s, [&](const S& pre) {
-                lines_[action].expand(pre, emit);
-              });
-            },
-            [&](const S& s, uint32_t line) {
-              return key(line, expander_.fingerprint_of(s));
-            });
-          if (path.has_value())
-          {
-            result_.witness = std::move(*path);
-          }
-        }
-      }
-      result_.stats.distinct_states = pruned_distinct + store.size();
-      snapshot_store();
-      release_frontier_chains(frontier);
-    }
-
-    /// Drops every item's chain without recursing down shared suffixes.
-    void release_frontier_chains(std::vector<Item>& items)
-    {
-      for (Item& item : items)
-      {
-        release_chain(std::move(item.chain));
-      }
-    }
-
-    void expand_line_worker(
-      unsigned w,
-      Store& store,
-      const std::vector<Item>& frontier,
-      size_t line,
-      std::atomic<size_t>& cursor,
-      std::atomic<bool>& stop,
-      std::atomic<uint64_t>& explored,
-      Local& local)
-    {
-      for (;;)
-      {
-        if (stop.load(std::memory_order_acquire))
-        {
-          return;
-        }
-        const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= frontier.size())
-        {
-          return;
-        }
-        const Item& item = frontier[i];
-        expander_.with_faults(item.state, [&](const S& pre) {
-          lines_[line].expand(pre, [&](S&& succ) {
-            explored.fetch_add(1, std::memory_order_relaxed);
-            const auto ins = store.insert(
-              key(line + 1, expander_.fingerprint_of(succ, w)),
-              item.id,
-              static_cast<uint32_t>(line),
-              static_cast<uint32_t>(line + 1),
-              expander_.origin());
-            if (ins.inserted)
-            {
-              cover(succ, line + 1, w);
-              std::shared_ptr<PathNode> chain = options_.prune_bfs_store ?
-                std::make_shared<PathNode>(PathNode{succ, item.chain}) :
-                nullptr;
-              local.next.push_back(
-                {std::move(succ), ins.id, std::move(chain)});
-            }
-            else
-            {
-              local.duplicates++;
-            }
-          });
-        });
-        if (budget_.exhausted(explored.load(std::memory_order_relaxed)))
-        {
-          stop.store(true, std::memory_order_release);
-          return;
-        }
+        result_.witness.push_back(std::move(step.state.state));
       }
     }
 
@@ -508,10 +375,8 @@ namespace scv::spec
     void run_dfs()
     {
       // Memoize (line, state-fingerprint) pairs known to fail — the
-      // "unsatisfied" states (§6.3). deepest_* provide the diagnostics.
+      // "unsatisfied" states (§6.3).
       dead_.clear();
-      deepest_line_ = 0;
-      deepest_frontier_.clear();
 
       // Frames are reused across descents and initial states, so their
       // successor vectors keep their capacity.
@@ -538,13 +403,7 @@ namespace scv::spec
           break;
         }
       }
-      result_.ok = false;
-      result_.lines_matched = deepest_line_;
-      result_.frontier_at_failure = std::move(deepest_frontier_);
-      if (deepest_line_ < lines_.size())
-      {
-        result_.failed_line = lines_[deepest_line_].description;
-      }
+      fail_at_deepest_line();
     }
 
     /// Iterative depth-first search from one initial state on the frame
@@ -612,8 +471,8 @@ namespace scv::spec
     {
       if (line == lines_.size())
       {
-        // Matched end states count as visited coverage (BFS admits its
-        // whole final frontier; keep the DFS tap consistent).
+        // Matched end states count as visited coverage (BFS covers every
+        // successor it emits; keep the DFS tap consistent).
         cover(state, line);
         return Enter::Matched;
       }
@@ -628,17 +487,7 @@ namespace scv::spec
         result_.stats.memo_hits++;
         return Enter::Fail;
       }
-      if (line > deepest_line_)
-      {
-        deepest_line_ = line;
-        deepest_frontier_.clear();
-      }
-      if (
-        line == deepest_line_ &&
-        deepest_frontier_.size() < options_.max_diagnostic_states)
-      {
-        deepest_frontier_.push_back(state);
-      }
+      note_candidate(state, line);
       result_.stats.distinct_states++;
       cover(state, line);
       out.state = &state;
@@ -686,13 +535,14 @@ namespace scv::spec
     std::vector<S> init_;
     std::vector<TraceLineExpander<S>> lines_;
     ValidationOptions options_;
-    std::function<void(const S&, const Emit<S>&)> fault_;
 
     Budget budget_;
     Expander<S> expander_;
     Store* coverage_store_ = nullptr;
     ValidationResult<S> result_;
     std::unordered_set<uint64_t> dead_;
+    /// Deepest-line diagnostics (note_candidate()), guarded by the mutex.
+    std::mutex diagnostics_mu_;
     size_t deepest_line_ = 0;
     std::vector<S> deepest_frontier_;
   };

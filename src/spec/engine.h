@@ -27,7 +27,6 @@
 
 #include "spec/budget.h"
 #include "spec/stats.h"
-#include "spec/store_options.h"
 
 namespace scv::spec
 {
@@ -81,12 +80,6 @@ namespace scv::spec
     /// carries no Symmetry hook. The trace validator ignores the flag
     /// for its search — trace lines name concrete identities.
     bool symmetry = false;
-    /// State-store knobs for the engine's private store (docs/SPEC.md
-    /// "State store"): the byte ceiling (crossing it ends the run like an
-    /// exhausted budget) and the optional spill directory. Engines
-    /// attached to a shared campaign store use the campaign's store
-    /// options instead.
-    StoreOptions store;
 
     /// Assembles the exploration-core budget from the shared deadline and
     /// the engine's own work/depth caps.

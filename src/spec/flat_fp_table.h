@@ -11,10 +11,9 @@
 // Layout: two parallel arrays (fps_, locals_) rather than one struct array,
 // so a slot costs exactly 12 bytes instead of 16 with alignment padding.
 // A slot is empty iff its local is empty_slot; fingerprints of empty slots
-// are never read. Duplicate fingerprints are allowed (the store checks
-// first() before it inserts, so it keeps one entry per fingerprint);
-// find() visits all of them in probe order. There is no deletion:
-// exploration stores only grow.
+// are never read. The table is a set: each fingerprint has at most one
+// entry, and find_or_insert() is the store's whole dedup check in one
+// probe. There is no deletion: exploration stores only grow.
 //
 // The home slot uses the *high* bits of a Fibonacci-mixed fingerprint:
 // shard selection already consumes the low bits of (fp ^ fp >> 32), so
@@ -69,53 +68,31 @@ namespace scv::spec
       return capacity_ * (sizeof(uint64_t) + sizeof(uint32_t));
     }
 
-    /// Visits every entry whose fingerprint equals `fp`, in probe order
-    /// (insertion order per fingerprint, modulo rehash). fn returns true
-    /// to stop early; find() then returns true. Returns false when no
-    /// entry satisfied fn.
-    template <class Fn>
-    bool find(uint64_t fp, Fn&& fn) const
+    /// The local stored under `fp`, or empty_slot.
+    [[nodiscard]] uint32_t find(uint64_t fp) const
     {
-      for (size_t i = home(fp);; i = (i + 1) & (capacity_ - 1))
+      return locals_[probe(fp)];
+    }
+
+    /// The local already stored under `fp`, or — when `fp` is absent —
+    /// stores `local` and returns it. One probe; a miss that would push
+    /// the load factor past ~0.65 grows the table and places `fp` again.
+    uint32_t find_or_insert(uint64_t fp, uint32_t local)
+    {
+      size_t i = probe(fp);
+      if (locals_[i] != empty_slot)
       {
-        if (locals_[i] == empty_slot)
-        {
-          return false;
-        }
-        if (fps_[i] == fp && fn(locals_[i]))
-        {
-          return true;
-        }
+        return locals_[i];
       }
-    }
-
-    /// First entry with this fingerprint, or empty_slot. The store's
-    /// whole dedup check.
-    [[nodiscard]] uint32_t first(uint64_t fp) const
-    {
-      uint32_t found = empty_slot;
-      find(fp, [&](uint32_t local) {
-        found = local;
-        return true;
-      });
-      return found;
-    }
-
-    [[nodiscard]] bool contains(uint64_t fp) const
-    {
-      return first(fp) != empty_slot;
-    }
-
-    /// Unconditional insert (dedup is the caller's policy); grows the
-    /// table first when the load factor would cross ~0.65.
-    void insert(uint64_t fp, uint32_t local)
-    {
       if ((size_ + 1) * 20 >= capacity_ * 13)
       {
         rehash(capacity_ << 1);
+        i = probe(fp);
       }
-      place(fp, local);
+      fps_[i] = fp;
+      locals_[i] = local;
       ++size_;
+      return local;
     }
 
   private:
@@ -127,15 +104,15 @@ namespace scv::spec
         (fp * 0x9E3779B97F4A7C15ULL) >> (64 - capacity_log2_));
     }
 
-    void place(uint64_t fp, uint32_t local)
+    /// The slot holding `fp`, or the empty slot that ends its probe run.
+    [[nodiscard]] size_t probe(uint64_t fp) const
     {
       size_t i = home(fp);
-      while (locals_[i] != empty_slot)
+      while (locals_[i] != empty_slot && fps_[i] != fp)
       {
         i = (i + 1) & (capacity_ - 1);
       }
-      fps_[i] = fp;
-      locals_[i] = local;
+      return i;
     }
 
     void allocate(size_t n)
@@ -164,7 +141,9 @@ namespace scv::spec
       {
         if (old_locals[i] != empty_slot)
         {
-          place(old_fps[i], old_locals[i]);
+          const size_t j = probe(old_fps[i]);
+          fps_[j] = old_fps[i];
+          locals_[j] = old_locals[i];
         }
       }
       ++rehashes_;

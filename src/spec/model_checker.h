@@ -32,7 +32,7 @@
 // shared, empty ShardedStateStore instead of its private one. Every
 // admission is tagged with the checker's EngineId, and the unexpanded
 // frontier of a budget-cut run is exported for the next engine to seed
-// from (take_frontier()).
+// from (take_frontier()); a standalone check exports nothing.
 //
 // BFS trace validation (trace_validator.h) is this kernel run on the
 // trace product spec: levels are trace lines, ExplorationStats::level_sizes
@@ -63,6 +63,10 @@ namespace scv::spec
     /// Work-counter cap: distinct states admitted to the store.
     uint64_t max_distinct_states = UINT64_MAX;
     uint64_t max_depth = UINT64_MAX;
+    /// Soft ceiling on resident bytes: the store's plus the level
+    /// arenas' chunks (docs/SPEC.md "State store"). 0 = unlimited.
+    /// Crossing it ends the run like an exhausted work budget.
+    size_t memory_budget_bytes = 0;
 
     /// The exploration-core budget: work counter = distinct states.
     [[nodiscard]] Budget::Caps budget_caps() const
@@ -192,11 +196,8 @@ namespace scv::spec
       const WorkerPool pool(limits_.threads);
       if (external_ == nullptr)
       {
-        // Over-provision shards (16x workers) so two workers rarely hash
-        // to the same stripe; one worker keeps a single dense shard.
         owned_ = std::make_unique<Store>(
-          pool.size() == 1 ? 1 : 16 * static_cast<size_t>(pool.size()),
-          limits_.store);
+          Store::shards_for_workers(pool.size()));
       }
       else
       {
@@ -207,9 +208,11 @@ namespace scv::spec
       return result;
     }
 
-    /// After an incomplete check(): the unexpanded BFS frontier — states
-    /// admitted but never expanded before the budget cut the run. A
-    /// campaign seeds the simulator's walk starts from these.
+    /// After an incomplete check() over an attached store: the unexpanded
+    /// BFS frontier — states admitted but never expanded before the
+    /// budget cut the run. A campaign seeds the simulator's walk starts
+    /// from these. Empty after a standalone check, which copies no
+    /// frontier out.
     [[nodiscard]] std::vector<S> take_frontier()
     {
       return std::move(frontier_out_);
@@ -363,11 +366,13 @@ namespace scv::spec
             w, level, locals, cursor, stop, out_of_budget, budget);
         });
 
-        // Budget cut: the leftover frontier is everything admitted but
-        // never expanded — the unclaimed tail of this level (workers
-        // check the budget *before* claiming) plus the level the workers
-        // were building.
-        if (out_of_budget.load(std::memory_order_acquire))
+        // Budget cut over an attached store: the leftover frontier is
+        // everything admitted but never expanded — the unclaimed tail of
+        // this level (workers check the budget *before* claiming) plus
+        // the level the workers were building.
+        if (
+          external_ != nullptr &&
+          out_of_budget.load(std::memory_order_acquire))
         {
           const size_t claimed =
             std::min(cursor.load(std::memory_order_relaxed), level.size());
@@ -388,12 +393,6 @@ namespace scv::spec
               frontier_out_.push_back(*item.body);
             }
           }
-        }
-        // Level barrier (workers parked, store quiescent): frozen record
-        // blocks may spill.
-        if (!stop.load(std::memory_order_acquire))
-        {
-          store().maybe_spill();
         }
       }
 
@@ -459,7 +458,7 @@ namespace scv::spec
       // size() sums every shard's published counter: poll it only when a
       // state cap is set.
       const bool capped = budget.caps().max_states != UINT64_MAX;
-      const size_t memory_budget = limits_.store.memory_budget_bytes;
+      const size_t memory_budget = limits_.memory_budget_bytes;
       // Claims only grow, so the worker whose items hold the claimed
       // index only moves forward.
       size_t owner = 0;
@@ -626,7 +625,6 @@ namespace scv::spec
     {
       result.stats.distinct_states = inserted;
       result.stats.store_bytes = store().store_bytes();
-      result.stats.spilled_bytes = store().spilled_bytes();
       result.stats.rehash_count = store().rehash_count();
       result.stats.seconds = budget.elapsed();
       result.stats.fp_collision_probability =

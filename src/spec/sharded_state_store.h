@@ -12,8 +12,9 @@
 // alone — TLC's trade, a genuine collision silently conflates two states
 // (ExplorationStats::fp_collision_probability reports the estimate).
 //   * Index: a flat open-addressing table (FlatFpTable) per shard —
-//     fingerprint -> local record index, 12 bytes per slot, no per-insert
-//     allocation, amortized power-of-two rehash under the shard lock.
+//     fingerprint -> local record index, 12 bytes per slot, one probe
+//     per insert (find_or_insert), no per-insert allocation, amortized
+//     power-of-two rehash under the shard lock.
 //   * Hot arena: one 16-byte HotRecord (parent id, action, 24-bit depth,
 //     8-bit origin) per state, in 1 MiB slab blocks that never move, so
 //     record() references stay valid across inserts.
@@ -21,10 +22,6 @@
 //     it re-expands each recorded action from the initial state and takes
 //     the first successor whose key finds the chain's next id, which is
 //     the emission admission stored.
-//   * Spill: with StoreOptions::spill_dir set, maybe_spill() writes
-//     frozen (full) hot-arena blocks to an unlinked per-shard temp file
-//     and mmaps them back read-only, freeing the heap copy. Quiescent
-//     callers only — engines spill at level barriers.
 //
 // Global state IDs are stable across shards: id = (local_index <<
 // shard_bits) | shard. Predecessor links stored in records use these
@@ -32,14 +29,14 @@
 // boundaries; a one-shard store's IDs are dense in insertion order.
 //
 // Concurrency contract (applies to size(), origin_count() and
-// store_bytes()/spilled_bytes(), all of which read atomics wait-free):
+// store_bytes(), all of which read atomics wait-free):
 //   * insert() and find() may be called from any thread at any time; the
 //     wait-free readers above are exact once writers are quiescent and a
 //     monotone lower bound while they run.
 //   * record() takes no lock: call it only for IDs the caller
 //     inserted itself, or once all writers have been joined
 //     (path reconstruction happens after the worker pool stops).
-//   * maybe_spill() and reconstruct_path() are quiescent-only.
+//   * reconstruct_path() is quiescent-only.
 #pragma once
 
 #include <algorithm>
@@ -50,16 +47,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <vector>
-
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <unistd.h>
 
 #include "spec/flat_fp_table.h"
 #include "spec/spec.h"
-#include "spec/store_options.h"
 
 namespace scv::spec
 {
@@ -105,9 +96,15 @@ namespace scv::spec
       bool inserted;
     };
 
-    explicit ShardedStateStore(
-      size_t shard_count = 1, StoreOptions options = {}) :
-      options_(std::move(options))
+    /// The shard count for a store `workers` threads insert into:
+    /// over-provisioned (16x workers) so two workers rarely hash to the
+    /// same stripe; one worker keeps a single dense shard.
+    [[nodiscard]] static size_t shards_for_workers(unsigned workers)
+    {
+      return workers <= 1 ? 1 : 16 * static_cast<size_t>(workers);
+    }
+
+    explicit ShardedStateStore(size_t shard_count = 1)
     {
       size_t n = 1;
       while (n < shard_count)
@@ -121,11 +118,6 @@ namespace scv::spec
         ++shard_bits_;
       }
       shards_ = std::vector<Shard>(n);
-    }
-
-    ~ShardedStateStore()
-    {
-      release_spill();
     }
 
     ShardedStateStore(const ShardedStateStore&) = delete;
@@ -171,15 +163,14 @@ namespace scv::spec
       const size_t shard_idx = shard_for_fingerprint(fp);
       Shard& shard = shards_[shard_idx];
       std::lock_guard<std::mutex> lock(shard.mu);
-      const uint32_t hit = shard.index.first(fp);
-      if (hit != FlatFpTable::empty_slot)
+      const uint32_t local = shard.count;
+      const uint32_t hit = shard.index.find_or_insert(fp, local);
+      if (hit != local)
       {
         return {encode(shard_idx, hit), false};
       }
-      const auto local = static_cast<uint32_t>(shard.count);
       hot_slot(shard, local) = {
         parent, action, (std::min(depth, depth_limit) << 8) | origin};
-      shard.index.insert(fp, local);
       shard.index_bytes.store(
         shard.index.bytes(), std::memory_order_relaxed);
       shard.rehashes.store(
@@ -197,7 +188,7 @@ namespace scv::spec
       const size_t shard_idx = shard_for_fingerprint(fp);
       const Shard& shard = shards_[shard_idx];
       std::lock_guard<std::mutex> lock(shard.mu);
-      const uint32_t hit = shard.index.first(fp);
+      const uint32_t hit = shard.index.find(fp);
       if (hit == FlatFpTable::empty_slot)
       {
         return std::nullopt;
@@ -223,7 +214,7 @@ namespace scv::spec
       const Shard& shard = shards_[shard_of(id)];
       const auto local = static_cast<uint32_t>(local_of(id));
       const HotRecord& hot =
-        shard.blocks[local >> block_shift].data[local & block_mask];
+        shard.blocks[local >> block_shift][local & block_mask];
       return {
         hot.parent,
         hot.action,
@@ -248,26 +239,15 @@ namespace scv::spec
       return total;
     }
 
-    /// Resident bytes: index slots + heap (unspilled) hot-arena blocks.
-    /// Wait-free; exact when quiescent.
+    /// Resident bytes: index slots + hot-arena blocks. Wait-free; exact
+    /// when quiescent.
     [[nodiscard]] size_t store_bytes() const
     {
       size_t total = 0;
       for (const Shard& shard : shards_)
       {
         total += shard.index_bytes.load(std::memory_order_relaxed);
-        total += shard.heap_arena_bytes.load(std::memory_order_relaxed);
-      }
-      return total;
-    }
-
-    /// Hot-arena bytes moved to disk by maybe_spill() (and mmap'd back).
-    [[nodiscard]] size_t spilled_bytes() const
-    {
-      size_t total = 0;
-      for (const Shard& shard : shards_)
-      {
-        total += shard.spilled_bytes.load(std::memory_order_relaxed);
+        total += shard.arena_bytes.load(std::memory_order_relaxed);
       }
       return total;
     }
@@ -281,40 +261,6 @@ namespace scv::spec
         total += shard.rehashes.load(std::memory_order_relaxed);
       }
       return total;
-    }
-
-    /// Spills frozen hot-arena blocks to spill_dir while a shard's heap
-    /// arena exceeds its budget share (memory_budget_bytes / shards; a
-    /// zero budget spills every frozen block). Each spilled block is
-    /// pwritten to an unlinked per-shard temp file, mmap'd back
-    /// PROT_READ, and the heap copy freed — record() reads continue
-    /// through the mapping unchanged. Quiescent callers only: engines
-    /// call this at level barriers. No-op without a spill_dir.
-    void maybe_spill()
-    {
-      if (!options_.spill_enabled())
-      {
-        return;
-      }
-      const size_t shard_budget =
-        options_.memory_budget_bytes / shards_.size();
-      for (Shard& shard : shards_)
-      {
-        // Only full ("frozen") blocks spill; the tail block still grows.
-        const size_t frozen =
-          shard.blocks.empty() ? 0 : shard.blocks.size() - 1;
-        while (
-          shard.first_unspilled < frozen &&
-          shard.heap_arena_bytes.load(std::memory_order_relaxed) >
-            shard_budget)
-        {
-          if (!spill_block(shard, shard.first_unspilled))
-          {
-            break; // I/O failure: keep the heap copy, stop trying
-          }
-          shard.first_unspilled++;
-        }
-      }
     }
 
     /// Rebuilds the concrete state path from an initial state to
@@ -381,40 +327,27 @@ namespace scv::spec
     }
 
   private:
-    // 65536 16-byte records = 1 MiB per slab block (a page multiple, so
-    // spilled blocks mmap at block-aligned file offsets).
+    // 65536 16-byte records = 1 MiB per slab block.
     static constexpr uint32_t block_shift = 16;
     static constexpr uint32_t block_records = uint32_t{1} << block_shift;
     static constexpr uint32_t block_mask = block_records - 1;
     static constexpr size_t block_bytes =
       static_cast<size_t>(block_records) * sizeof(HotRecord);
 
-    /// One hot-arena slab. `data` points at the heap allocation until the
-    /// block is spilled, then at the read-only mapping.
-    struct Block
-    {
-      HotRecord* data = nullptr;
-      std::unique_ptr<HotRecord[]> heap;
-    };
-
     struct Shard
     {
       mutable std::mutex mu;
       FlatFpTable index;
-      std::vector<Block> blocks;
+      std::vector<std::unique_ptr<HotRecord[]>> blocks;
       uint32_t count = 0;
       // first-discovery counts per admission origin (EngineId byte);
       // atomics so origin_count() is wait-free like size().
       std::array<std::atomic<uint64_t>, max_origins> origin_counts{};
       std::atomic<size_t> published{0};
-      // Wait-free byte accounting for store_bytes()/spilled_bytes().
+      // Wait-free byte accounting for store_bytes().
       std::atomic<size_t> index_bytes{0};
-      std::atomic<size_t> heap_arena_bytes{0};
-      std::atomic<size_t> spilled_bytes{0};
+      std::atomic<size_t> arena_bytes{0};
       std::atomic<uint64_t> rehashes{0};
-      // Spill state: blocks [0, first_unspilled) live in the file.
-      size_t first_unspilled = 0;
-      int spill_fd = -1;
     };
 
     /// The hot slot for a fresh local index, allocating a new slab when
@@ -426,82 +359,13 @@ namespace scv::spec
         // Uninitialized: every slot is written when its record is
         // admitted, so a mostly empty tail block (one per shard) stays
         // mostly unresident.
-        Block block;
-        block.heap = std::make_unique_for_overwrite<HotRecord[]>(block_records);
-        block.data = block.heap.get();
-        shard.blocks.push_back(std::move(block));
-        shard.heap_arena_bytes.fetch_add(
-          block_bytes, std::memory_order_relaxed);
+        shard.blocks.push_back(
+          std::make_unique_for_overwrite<HotRecord[]>(block_records));
+        shard.arena_bytes.fetch_add(block_bytes, std::memory_order_relaxed);
       }
-      return shard.blocks[local >> block_shift].data[local & block_mask];
+      return shard.blocks[local >> block_shift][local & block_mask];
     }
 
-    /// Writes one frozen block to the shard's spill file and remaps it
-    /// read-only. Returns false (leaving the heap copy in place) on any
-    /// I/O failure.
-    bool spill_block(Shard& shard, size_t block_idx)
-    {
-      if (shard.spill_fd < 0)
-      {
-        std::string tmpl = options_.spill_dir + "/scv-store-XXXXXX";
-        const int fd = ::mkstemp(tmpl.data());
-        if (fd < 0)
-        {
-          return false;
-        }
-        ::unlink(tmpl.c_str()); // anonymous: the fd is the only handle
-        shard.spill_fd = fd;
-      }
-      Block& block = shard.blocks[block_idx];
-      const auto offset =
-        static_cast<off_t>(shard.spilled_bytes.load(std::memory_order_relaxed));
-      size_t written = 0;
-      const char* src = reinterpret_cast<const char*>(block.heap.get());
-      while (written < block_bytes)
-      {
-        const ssize_t n = ::pwrite(
-          shard.spill_fd,
-          src + written,
-          block_bytes - written,
-          offset + static_cast<off_t>(written));
-        if (n <= 0)
-        {
-          return false;
-        }
-        written += static_cast<size_t>(n);
-      }
-      void* mapped = ::mmap(
-        nullptr, block_bytes, PROT_READ, MAP_SHARED, shard.spill_fd, offset);
-      if (mapped == MAP_FAILED)
-      {
-        return false;
-      }
-      block.data = static_cast<HotRecord*>(mapped);
-      block.heap.reset();
-      shard.heap_arena_bytes.fetch_sub(
-        block_bytes, std::memory_order_relaxed);
-      shard.spilled_bytes.fetch_add(block_bytes, std::memory_order_relaxed);
-      return true;
-    }
-
-    void release_spill()
-    {
-      for (Shard& shard : shards_)
-      {
-        for (size_t b = 0; b < shard.first_unspilled; ++b)
-        {
-          ::munmap(shard.blocks[b].data, block_bytes);
-          shard.blocks[b].data = nullptr;
-        }
-        if (shard.spill_fd >= 0)
-        {
-          ::close(shard.spill_fd);
-          shard.spill_fd = -1;
-        }
-      }
-    }
-
-    StoreOptions options_;
     std::vector<Shard> shards_;
     uint64_t shard_mask_ = 0;
     unsigned shard_bits_ = 0;

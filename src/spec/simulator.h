@@ -73,12 +73,7 @@ namespace scv::spec
     uint64_t max_behaviors = UINT64_MAX;
     /// Bounds each walk rather than the whole run.
     uint64_t max_depth = 50;
-    /// When false, all actions are treated as weight 1 (uniform pick).
-    /// Kept for backwards compatibility: false forces Uniform mode.
-    bool use_weights = true;
     WeightingMode mode = WeightingMode::Static;
-    /// Track the set of distinct fingerprints visited (costs memory).
-    bool track_distinct = true;
 
     // Q-learning hyperparameters.
     double q_alpha = 0.3; // learning rate
@@ -102,8 +97,8 @@ namespace scv::spec
 
     std::optional<Counterexample<S>> counterexample;
     uint64_t behaviors = 0;
-    /// The visited fingerprint set (when track_distinct); the fan-out path
-    /// unions these across workers to measure joint coverage.
+    /// The visited fingerprint set; the fan-out path unions these across
+    /// workers to measure joint coverage.
     std::unordered_set<uint64_t> distinct_fingerprints;
   };
 
@@ -246,11 +241,8 @@ namespace scv::spec
           {
             break; // deadlock
           }
-          const WeightingMode mode = !options_.use_weights ?
-            WeightingMode::Uniform :
-            options_.mode;
           const uint64_t bucket = q_bucket(current);
-          const auto picked = pick_action(mode, enabled, bucket);
+          const auto picked = pick_action(options_.mode, enabled, bucket);
           if (!picked.has_value())
           {
             break; // all enabled actions have zero weight
@@ -261,15 +253,13 @@ namespace scv::spec
           result.stats.transitions++;
           result.stats.action_coverage[spec_.actions[a].name]++;
 
-          if (mode == WeightingMode::QLearning)
+          if (options_.mode == WeightingMode::QLearning)
           {
             // Reward novelty; bootstrap from the best known value of the
             // successor bucket. Keyed like note_state() so the distinct
             // lookup matches (canonical when symmetry is on).
             const uint64_t next_fp = expander_.fingerprint_of(next);
-            const double reward =
-              options_.track_distinct && distinct.contains(next_fp) ? 0.0 :
-                                                                      1.0;
+            const double reward = distinct.contains(next_fp) ? 0.0 : 1.0;
             const uint64_t next_bucket =
               q_features_ ? q_features_(next) : next_fp;
             double best_next = 0.0;
@@ -515,12 +505,9 @@ namespace scv::spec
       SimResult<S>& result)
     {
       (void)result;
-      if (options_.track_distinct)
-      {
-        // Canonical when symmetry is on, so distinct counts (and the
-        // cross-worker union) measure coverage modulo the orbit.
-        distinct.insert(expander_.fingerprint_of(state));
-      }
+      // Canonical when symmetry is on, so distinct counts (and the
+      // cross-worker union) measure coverage modulo the orbit.
+      distinct.insert(expander_.fingerprint_of(state));
       if (observer_)
       {
         observer_(state);
@@ -554,7 +541,6 @@ namespace scv::spec
       if (store_ != nullptr)
       {
         result.stats.store_bytes = store_->store_bytes();
-        result.stats.spilled_bytes = store_->spilled_bytes();
         result.stats.rehash_count = store_->rehash_count();
       }
       result.stats.complete = false;

@@ -39,12 +39,7 @@ namespace scv::spec
     }
     if (store_bytes > 0)
     {
-      os << " store_bytes=" << store_bytes;
-      if (spilled_bytes > 0)
-      {
-        os << " spilled_bytes=" << spilled_bytes;
-      }
-      os << " rehashes=" << rehash_count;
+      os << " store_bytes=" << store_bytes << " rehashes=" << rehash_count;
     }
     if (peak_frontier_bytes > 0)
     {
@@ -73,7 +68,6 @@ namespace scv::spec
     // Store metrics are snapshots of a (possibly shared) store, not
     // per-run counters: merging takes the largest snapshot.
     store_bytes = std::max(store_bytes, other.store_bytes);
-    spilled_bytes = std::max(spilled_bytes, other.spilled_bytes);
     rehash_count = std::max(rehash_count, other.rehash_count);
     peak_frontier_bytes =
       std::max(peak_frontier_bytes, other.peak_frontier_bytes);

@@ -49,11 +49,10 @@ namespace scv::spec
     uint64_t symmetry_hits = 0;
     uint64_t max_depth = 0;
     /// State-store footprint at the end of the run: resident bytes
-    /// (index + hot arena), bytes spilled to disk, and index rehashes.
+    /// (index + hot arena) and index rehashes.
     /// Snapshots of the engine's store, not additive across phases
     /// sharing one store — absorb_counts() takes the max.
     uint64_t store_bytes = 0;
-    uint64_t spilled_bytes = 0;
     uint64_t rehash_count = 0;
     /// Checker: the largest footprint of the frontier's state bodies (its
     /// level arenas' chunks). Zero for the other engines.

@@ -110,8 +110,6 @@ namespace scv::spec
     /// DFS generates a frame's fault-closure successors only once its
     /// plain ones have all failed.
     uint64_t states_explored = 0;
-    /// Mirror of stats.seconds (older callers).
-    double seconds = 0.0;
     /// Candidate states at the deepest line reached (diagnostics), capped
     /// at ValidationOptions::max_diagnostic_states.
     std::vector<S> frontier_at_failure;
@@ -239,8 +237,7 @@ namespace scv::spec
         result_.stats.complete =
           result_.ok || !budget_.exhausted(result_.states_explored);
       }
-      result_.seconds = budget_.elapsed();
-      result_.stats.seconds = result_.seconds;
+      result_.stats.seconds = budget_.elapsed();
       if (budget_.caps().time_budget_seconds < 1e17)
       {
         result_.stats.budget_seconds = budget_.caps().time_budget_seconds;
@@ -321,7 +318,6 @@ namespace scv::spec
       CheckLimits limits;
       limits.time_budget_seconds = options_.time_budget_seconds;
       limits.threads = options_.threads;
-      limits.store = options_.store;
       limits.max_distinct_states = options_.max_states;
       CheckResult<TraceState<S>> checked = model_check(product, limits);
 

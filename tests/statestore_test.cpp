@@ -2,12 +2,11 @@
 // open-addressing fingerprint index, dedup by fingerprint alone, the
 // checker's level arenas, exact replay of counterexamples and witnesses,
 // an exactness oracle (a naive BFS over serialized states) for the
-// distinct counts, per-shard disk spill round-trips, and rehash under
-// concurrent insert (run under TSan in CI).
+// distinct counts, and rehash under concurrent insert (run under TSan in
+// CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <deque>
 #include <set>
 #include <string>
@@ -80,14 +79,6 @@ namespace
       return "narrow=" + std::to_string(value);
     }
   };
-
-  std::string make_spill_dir()
-  {
-    char tmpl[] = "/tmp/scv-statestore-test-XXXXXX";
-    const char* dir = ::mkdtemp(tmpl);
-    EXPECT_NE(dir, nullptr);
-    return dir != nullptr ? std::string(dir) : std::string();
-  }
 }
 
 // ---- FlatFpTable ----
@@ -96,45 +87,43 @@ TEST(FlatFpTable, InsertFindContains)
 {
   FlatFpTable table;
   EXPECT_EQ(table.size(), 0u);
-  EXPECT_FALSE(table.contains(42));
-  EXPECT_EQ(table.first(42), FlatFpTable::empty_slot);
+  EXPECT_EQ(table.find(42), FlatFpTable::empty_slot);
 
-  table.insert(42, 7);
-  table.insert(99, 3);
+  EXPECT_EQ(table.find_or_insert(42, 7), 7u);
+  EXPECT_EQ(table.find_or_insert(99, 3), 3u);
   EXPECT_EQ(table.size(), 2u);
-  EXPECT_TRUE(table.contains(42));
-  EXPECT_TRUE(table.contains(99));
-  EXPECT_FALSE(table.contains(100));
-  EXPECT_EQ(table.first(42), 7u);
-  EXPECT_EQ(table.first(99), 3u);
+  EXPECT_EQ(table.find(42), 7u);
+  EXPECT_EQ(table.find(99), 3u);
+  EXPECT_EQ(table.find(100), FlatFpTable::empty_slot);
 }
 
-TEST(FlatFpTable, DuplicateFingerprintsKeepAllEntries)
+TEST(FlatFpTable, RepeatedFindOrInsertReturnsFirstLocal)
 {
-  // insert() is unconditional: colliding fingerprints coexist and find()
-  // visits every one.
+  // The table is a set: a fingerprint already present keeps its first
+  // local, and the repeat stores nothing.
   FlatFpTable table;
-  table.insert(5, 10);
-  table.insert(5, 11);
-  table.insert(5, 12);
-  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.find_or_insert(5, 10), 10u);
+  EXPECT_EQ(table.find_or_insert(5, 11), 10u);
+  EXPECT_EQ(table.find_or_insert(5, 12), 10u);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.find(5), 10u);
 
-  std::vector<uint32_t> seen;
-  table.find(5, [&](uint32_t local) {
-    seen.push_back(local);
-    return false; // visit all
-  });
-  ASSERT_EQ(seen.size(), 3u);
-  // first() returns the earliest insertion in probe order.
-  EXPECT_EQ(table.first(5), seen.front());
-
-  // Early-exit: stop after the first hit.
-  size_t visits = 0;
-  table.find(5, [&](uint32_t) {
-    visits++;
-    return true;
-  });
-  EXPECT_EQ(visits, 1u);
+  // Across rehashes too: fill past several doublings, then repeat every
+  // insert with a different local.
+  const uint32_t n = 1000;
+  for (uint32_t i = 0; i < n; ++i)
+  {
+    EXPECT_EQ(table.find_or_insert(uint64_t{i} * 7919 + 100, i), i);
+  }
+  const uint64_t rehashes = table.rehash_count();
+  EXPECT_GT(rehashes, 0u);
+  for (uint32_t i = 0; i < n; ++i)
+  {
+    EXPECT_EQ(table.find_or_insert(uint64_t{i} * 7919 + 100, n + i), i);
+  }
+  EXPECT_EQ(table.find_or_insert(5, 13), 10u);
+  EXPECT_EQ(table.size(), n + 1);
+  EXPECT_EQ(table.rehash_count(), rehashes) << "a hit never grows the table";
 }
 
 TEST(FlatFpTable, GrowthRehashPreservesEntries)
@@ -143,7 +132,8 @@ TEST(FlatFpTable, GrowthRehashPreservesEntries)
   const size_t n = 10'000;
   for (size_t i = 0; i < n; ++i)
   {
-    table.insert(i * 0x9E3779B97F4A7C15ULL + 1, static_cast<uint32_t>(i));
+    table.find_or_insert(
+      i * 0x9E3779B97F4A7C15ULL + 1, static_cast<uint32_t>(i));
   }
   EXPECT_EQ(table.size(), n);
   EXPECT_GT(table.rehash_count(), 0u);
@@ -154,7 +144,7 @@ TEST(FlatFpTable, GrowthRehashPreservesEntries)
   for (size_t i = 0; i < n; ++i)
   {
     EXPECT_EQ(
-      table.first(i * 0x9E3779B97F4A7C15ULL + 1), static_cast<uint32_t>(i))
+      table.find(i * 0x9E3779B97F4A7C15ULL + 1), static_cast<uint32_t>(i))
       << "entry " << i << " lost across rehash";
   }
 }
@@ -690,18 +680,72 @@ TEST(GoldenEquivalence, MemoryBudgetCutsRunAndExportsFrontier)
 {
   const auto spec = counter_spec(1'000'000);
   CheckLimits limits;
-  limits.store.memory_budget_bytes = 64 * 1024;
+  limits.memory_budget_bytes = 64 * 1024;
+  ShardedStateStore<CounterState> store;
   ModelChecker<CounterState> checker(spec, limits);
+  checker.attach_store(&store);
   const auto result = checker.check();
 
   EXPECT_TRUE(result.ok); // no violation found...
   EXPECT_FALSE(result.stats.complete); // ...but the budget cut the run
   EXPECT_LT(result.stats.distinct_states, 1'000'000u);
   EXPECT_GT(result.stats.distinct_states, 0u);
-  EXPECT_GT(result.stats.store_bytes, limits.store.memory_budget_bytes);
+  EXPECT_GT(result.stats.store_bytes, limits.memory_budget_bytes);
   EXPECT_GT(result.stats.peak_frontier_bytes, 0u);
   // The unexpanded frontier is exported for campaign hand-off.
   EXPECT_FALSE(checker.take_frontier().empty());
+}
+
+namespace
+{
+  /// A binary tree over counted states (v -> 2v + 1, 2v + 2): a frontier
+  /// that doubles each level, so a cut run leaves a wide one.
+  SpecDef<test::CountedState> counted_tree_spec()
+  {
+    using test::CountedState;
+    SpecDef<CountedState> def;
+    def.name = "counted_tree";
+    def.init = {CountedState{0}};
+    def.actions.push_back(
+      {"Branch", [](const CountedState& s, const Emit<CountedState>& emit) {
+         emit(CountedState{2 * s.value + 1});
+         emit(CountedState{2 * s.value + 2});
+       }});
+    return def;
+  }
+}
+
+// Only a campaign reads the leftover frontier, so only a check over an
+// attached store copies it out: a standalone check cut by its state cap
+// copies no frontier body.
+TEST(GoldenEquivalence, OnlyAttachedChecksCopyTheFrontierOut)
+{
+  using test::CountedState;
+  const auto spec = counted_tree_spec();
+  CheckLimits limits;
+  limits.max_distinct_states = 1000;
+
+  ModelChecker<CountedState> standalone(spec, limits);
+  CountedState::reset_counts();
+  const auto cut = standalone.check();
+  const int standalone_copies = CountedState::copies;
+  ASSERT_FALSE(cut.stats.complete);
+  // The initial state's copy into the level arena is the only one.
+  EXPECT_EQ(standalone_copies, static_cast<int>(spec.init.size()));
+  EXPECT_TRUE(standalone.take_frontier().empty());
+
+  ShardedStateStore<CountedState> store;
+  ModelChecker<CountedState> attached(spec, limits);
+  attached.attach_store(&store);
+  CountedState::reset_counts();
+  const auto attached_cut = attached.check();
+  const int attached_copies = CountedState::copies;
+  ASSERT_FALSE(attached_cut.stats.complete);
+  EXPECT_EQ(attached_cut.stats.distinct_states, cut.stats.distinct_states);
+  const std::vector<CountedState> frontier = attached.take_frontier();
+  ASSERT_FALSE(frontier.empty());
+  EXPECT_EQ(
+    attached_copies, standalone_copies + static_cast<int>(frontier.size()));
 }
 
 // The budget covers the frontier's bodies too: a store far below the
@@ -713,11 +757,11 @@ TEST(GoldenEquivalence, MemoryBudgetCountsFrontierBodies)
   const auto r = model_check(spec, free_run);
   ASSERT_TRUE(r.stats.complete);
   CheckLimits limits;
-  limits.store.memory_budget_bytes =
+  limits.memory_budget_bytes =
     r.stats.store_bytes + r.stats.peak_frontier_bytes / 4;
   const auto cut = model_check(spec, limits);
   EXPECT_FALSE(cut.stats.complete);
-  EXPECT_LT(cut.stats.store_bytes, limits.store.memory_budget_bytes);
+  EXPECT_LT(cut.stats.store_bytes, limits.memory_budget_bytes);
 }
 
 // ---- Golden equivalence: consensus trace validation ----
@@ -965,89 +1009,4 @@ TEST(StoreConcurrency, RehashUnderContention)
                    .inserted)
       << "value " << value;
   }
-}
-
-// ---- Spill round-trip ----
-
-TEST(Spill, RoundTripPreservesRecordsByteForByte)
-{
-  using Store = ShardedStateStore<CounterState>;
-  StoreOptions options;
-  options.spill_dir = make_spill_dir();
-  ASSERT_FALSE(options.spill_dir.empty());
-  // Zero budget: every frozen block spills on maybe_spill().
-  Store store(1, options);
-
-  // Fill past two block boundaries (65536 records per 1 MiB block).
-  const uint32_t n = 2 * 65536 + 1000;
-  Store::Id prev = Store::no_parent;
-  std::vector<Store::Id> ids;
-  ids.reserve(n);
-  for (uint32_t i = 0; i < n; ++i)
-  {
-    const auto ins = store.insert(
-      static_cast<uint64_t>(i) + 1,
-      prev,
-      i == 0 ? Store::init_action : i % 7,
-      i,
-      static_cast<uint8_t>(i % 3));
-    ASSERT_TRUE(ins.inserted);
-    ids.push_back(ins.id);
-    prev = ins.id;
-  }
-
-  const auto check_all = [&](const char* when) {
-    for (uint32_t i = 0; i < n; ++i)
-    {
-      const auto r = store.record(ids[i]);
-      ASSERT_EQ(r.parent, i == 0 ? Store::no_parent : ids[i - 1])
-        << when << " record " << i;
-      ASSERT_EQ(r.action, i == 0 ? Store::init_action : i % 7)
-        << when << " record " << i;
-      ASSERT_EQ(r.depth, i) << when << " record " << i;
-      ASSERT_EQ(r.origin, i % 3) << when << " record " << i;
-    }
-  };
-  check_all("pre-spill");
-  const size_t resident_before = store.store_bytes();
-
-  store.maybe_spill();
-  // Two frozen blocks spilled; the growing tail block stays on the heap.
-  EXPECT_EQ(store.spilled_bytes(), 2u * 1024 * 1024);
-  EXPECT_EQ(store.store_bytes(), resident_before - 2u * 1024 * 1024);
-  check_all("post-spill");
-
-  // The store keeps growing after a spill; spilled reads and fresh
-  // inserts coexist.
-  for (uint32_t i = n; i < n + 70000; ++i)
-  {
-    const auto ins =
-      store.insert(static_cast<uint64_t>(i) + 1, prev, i % 7, i);
-    ASSERT_TRUE(ins.inserted);
-    prev = ins.id;
-  }
-  store.maybe_spill();
-  EXPECT_GT(store.spilled_bytes(), 2u * 1024 * 1024);
-  check_all("post-growth");
-  EXPECT_EQ(store.size(), n + 70000u);
-
-  ::rmdir(options.spill_dir.c_str());
-}
-
-TEST(Spill, CheckerSpillsAtHousekeepingPointsAndStaysCorrect)
-{
-  // End-to-end: a sequential check with an aggressive spill policy (zero
-  // budget) still explores the exact same space and reports spilled
-  // bytes once the arena freezes a block (>65536 states).
-  auto spec = counter_spec(200'000);
-  CheckLimits spill;
-  spill.store.spill_dir = make_spill_dir();
-  const auto r_spill = model_check(spec, spill);
-  const auto r_heap = model_check(spec);
-
-  EXPECT_TRUE(r_spill.ok);
-  EXPECT_TRUE(r_spill.stats.complete);
-  EXPECT_EQ(r_spill.stats.distinct_states, r_heap.stats.distinct_states);
-  EXPECT_GT(r_spill.stats.spilled_bytes, 0u);
-  ::rmdir(spill.store.spill_dir.c_str());
 }

@@ -144,7 +144,11 @@ echo "=== release smallbank serving soak (100k ticks, 672 MiB cap) ==="
 # destroy bodies by hand. And the serving suites: the SHA-256 block functions
 # (portable and SHA-NI, cross-checked in crypto_test), the run-length
 # observation lists (TxIdRuns in consensus_test, against the element-wise
-# oracle in session_test) and the one-pass kvws1 decoder (kv_test).
+# oracle in session_test) and the one-pass kvws1 decoder (kv_test). And
+# the state-store suites (statestore_test, parallel_spec_test,
+# campaign_test): records packed into 16 bytes (24-bit depth, 8-bit
+# origin) and global ids built by shifting a local index past the shard
+# bits.
 echo "=== configure build-ubsan (-DSCV_SANITIZE=undefined) ==="
 # -Wno-stringop-overflow: GCC 12's stringop-overflow analysis false-
 # positives on vector<unsigned char>::push_back when UBSan
@@ -159,13 +163,15 @@ cmake --build build-ubsan -j "${JOBS}" --target \
   nemesis_test session_api_test snapshot_test util_test \
   trace_validation_test validator_golden_test checker_golden_test \
   consensus_spec_test spec_framework_test alloc_budget_test \
-  crypto_test consensus_test session_test kv_test
+  crypto_test consensus_test session_test kv_test statestore_test \
+  parallel_spec_test campaign_test
 echo "=== test build-ubsan (driver tests) ==="
 for t in raft_node_test scenario_dsl_test scenario_test e2e_test \
   bugs_test nemesis_test session_api_test snapshot_test util_test \
   trace_validation_test validator_golden_test checker_golden_test \
   consensus_spec_test spec_framework_test alloc_budget_test \
-  crypto_test consensus_test session_test kv_test; do
+  crypto_test consensus_test session_test kv_test statestore_test \
+  parallel_spec_test campaign_test; do
   echo "--- ${t} (ubsan) ---"
   "./build-ubsan/tests/${t}"
 done

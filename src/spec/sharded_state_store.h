@@ -239,15 +239,17 @@ namespace scv::spec
       return total;
     }
 
-    /// Resident bytes: index slots + hot-arena blocks. Wait-free; exact
-    /// when quiescent.
+    /// Bytes written: index slots + one hot record per stored state. A
+    /// slab's untouched tail is not counted, so the figure does not grow
+    /// with the shard count. Wait-free; exact when quiescent.
     [[nodiscard]] size_t store_bytes() const
     {
       size_t total = 0;
       for (const Shard& shard : shards_)
       {
         total += shard.index_bytes.load(std::memory_order_relaxed);
-        total += shard.arena_bytes.load(std::memory_order_relaxed);
+        total += shard.published.load(std::memory_order_relaxed) *
+          sizeof(HotRecord);
       }
       return total;
     }
@@ -331,8 +333,6 @@ namespace scv::spec
     static constexpr uint32_t block_shift = 16;
     static constexpr uint32_t block_records = uint32_t{1} << block_shift;
     static constexpr uint32_t block_mask = block_records - 1;
-    static constexpr size_t block_bytes =
-      static_cast<size_t>(block_records) * sizeof(HotRecord);
 
     struct Shard
     {
@@ -346,7 +346,6 @@ namespace scv::spec
       std::atomic<size_t> published{0};
       // Wait-free byte accounting for store_bytes().
       std::atomic<size_t> index_bytes{0};
-      std::atomic<size_t> arena_bytes{0};
       std::atomic<uint64_t> rehashes{0};
     };
 
@@ -361,7 +360,6 @@ namespace scv::spec
         // mostly unresident.
         shard.blocks.push_back(
           std::make_unique_for_overwrite<HotRecord[]>(block_records));
-        shard.arena_bytes.fetch_add(block_bytes, std::memory_order_relaxed);
       }
       return shard.blocks[local >> block_shift][local & block_mask];
     }

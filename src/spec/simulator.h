@@ -9,30 +9,35 @@
 // map supports the manual-vs-uniform weighting experiment
 // (bench/sim_weighting).
 //
+// Coverage is counted in one ShardedStateStore, as TLC shares one
+// fingerprint set across its workers: every visited state is
+// fingerprinted once and inserted, so distinct_states counts first
+// discoveries and duplicate_states the revisits. The store is the
+// attached campaign store, or else a private one the run builds and
+// frees.
+//
 // One engine, one entry point: Simulator::run() (and the free function
 // simulate()) dispatch on SimOptions::threads:
 //   * threads = 1 runs the single-threaded walk loop; per-seed walks are
 //     bit-reproducible.
 //   * threads != 1 fans independent seeded walks across a WorkerPool —
-//     worker w runs a private child simulator with seed = base_seed + w,
-//     results merged at the end (counts summed, coverage maps merged,
-//     per-worker fingerprint sets unioned so distinct_states measures
-//     *joint* coverage). A violation in any worker raises a shared stop
-//     flag; the lowest-indexed violating worker's counterexample wins.
+//     worker w runs a private child simulator with seed = base_seed + w
+//     over the run's one store, and the children's counts are summed. A
+//     violation in any worker raises a shared stop flag; the
+//     lowest-indexed violating worker's counterexample wins.
 //
-// Campaign mode (campaign.h): attach_store() admits every visited state
-// into a shared ShardedStateStore (tagged with the simulator's EngineId),
-// so cross-engine coverage is unioned instead of double-counted —
-// distinct_states then reports only states *this run* discovered first.
+// Campaign mode (campaign.h): attach_store() runs over a store shared with
+// the other engines (admissions tagged with the simulator's EngineId), so
+// distinct_states reports only states *this run* discovered first.
 // set_walk_seeds() starts walks from the checker's leftover BFS frontier
 // instead of the spec's initial states.
 #pragma once
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "spec/budget.h"
 #include "spec/engine.h"
@@ -97,9 +102,6 @@ namespace scv::spec
 
     std::optional<Counterexample<S>> counterexample;
     uint64_t behaviors = 0;
-    /// The visited fingerprint set; the fan-out path unions these across
-    /// workers to measure joint coverage.
-    std::unordered_set<uint64_t> distinct_fingerprints;
   };
 
   template <SpecState S>
@@ -141,15 +143,16 @@ namespace scv::spec
       external_stop_ = stop;
     }
 
-    /// Campaign mode: admit every visited state into `store` (shared with
-    /// other engines, never cleared), tagged `origin`. distinct_states in
-    /// the result then counts only first discoveries by this run — states
-    /// another engine already found are not re-counted. The store must
-    /// be quiescent now and outlive the simulator.
+    /// Campaign mode: count coverage in `store` (shared with other
+    /// engines, never cleared) instead of a private store, tagging
+    /// admissions `origin`. distinct_states in the result then counts only
+    /// first discoveries by this run — states another engine already
+    /// found are not re-counted. The store must be quiescent now and
+    /// outlive the simulator.
     void attach_store(
       ShardedStateStore<S>* store, EngineId origin = EngineId::Simulator)
     {
-      store_ = store;
+      external_ = store;
       expander_.set_origin(static_cast<uint8_t>(origin));
     }
 
@@ -165,17 +168,34 @@ namespace scv::spec
     /// docs/SPEC.md "threads semantics").
     SimResult<S> run()
     {
-      if (resolve_worker_count(options_.threads) == 1)
+      const WorkerPool pool(options_.threads);
+      if (external_ == nullptr)
       {
-        return run_single();
+        owned_ =
+          std::make_unique<Store>(Store::shards_for_workers(pool.size()));
       }
-      return run_fanout();
+      starts_ = seeds_.empty() ? &spec_.init : &seeds_;
+      SimResult<S> result = pool.size() == 1 ? run_single() : run_fanout(pool);
+      result.stats.store_bytes = store().store_bytes();
+      result.stats.rehash_count = store().rehash_count();
+      // A revisit could have collided with any stored key, the other
+      // engines' included.
+      result.stats.fp_collision_probability = fp_collision_probability(
+        store().size(), result.stats.duplicate_states);
+      owned_.reset();
+      return result;
     }
 
   private:
     using Store = ShardedStateStore<S>;
     using Id = typename Store::Id;
 
+    [[nodiscard]] Store& store()
+    {
+      return external_ != nullptr ? *external_ : *owned_;
+    }
+
+    /// The walk loop over *starts_ and store(); run() sets both up.
     SimResult<S> run_single()
     {
       // Time (or the external stop flag) exhausts a behavior mid-walk; the
@@ -183,35 +203,24 @@ namespace scv::spec
       Budget budget(options_.budget_caps());
       budget.set_stop_flag(external_stop_);
       SimResult<S> result;
-      std::unordered_set<uint64_t> distinct;
-      // First discoveries by this run when a shared store is attached.
-      uint64_t fresh = 0;
-      const std::vector<S>& starts =
-        seeds_.empty() ? spec_.init : seeds_;
+      const std::vector<S>& starts = *starts_;
 
       while (!budget.exhausted(result.behaviors))
       {
         result.behaviors++;
         // Pick a walk start uniformly.
         S current = starts[rng_.below(starts.size())];
-        if (!seeds_.empty())
+        if (&starts != &spec_.init)
         {
           result.stats.seeded_states++;
         }
-        Id cur_id = Store::no_parent;
-        if (store_ != nullptr)
-        {
-          const auto ins = expander_.admit(
-            *store_,
-            current,
-            Store::no_parent,
-            Store::init_action,
-            0,
-            worker_);
-          fresh += ins.inserted ? 1 : 0;
-          cur_id = ins.id;
-        }
-        note_state(current, distinct, result);
+        Id cur_id = visit(
+          current,
+          expander_.fingerprint_of(current),
+          Store::no_parent,
+          Store::init_action,
+          0,
+          result.stats);
 
         std::vector<TraceStep<S>> walk;
         walk.push_back({"<init>", current});
@@ -250,16 +259,18 @@ namespace scv::spec
           const size_t a = *picked;
           S next =
             std::move(successors[a][rng_.below(successors[a].size())]);
+          // The dedup key (canonical when symmetry is on), taken once for
+          // the novelty reward and the admission below.
+          const uint64_t next_fp = expander_.fingerprint_of(next);
           result.stats.transitions++;
           result.stats.action_coverage[spec_.actions[a].name]++;
 
           if (options_.mode == WeightingMode::QLearning)
           {
-            // Reward novelty; bootstrap from the best known value of the
-            // successor bucket. Keyed like note_state() so the distinct
-            // lookup matches (canonical when symmetry is on).
-            const uint64_t next_fp = expander_.fingerprint_of(next);
-            const double reward = distinct.contains(next_fp) ? 0.0 : 1.0;
+            // Reward novelty to the whole run; bootstrap from the best
+            // known value of the successor bucket.
+            const double reward =
+              store().find(next_fp).has_value() ? 0.0 : 1.0;
             const uint64_t next_bucket =
               q_features_ ? q_features_(next) : next_fp;
             double best_next = 0.0;
@@ -281,26 +292,20 @@ namespace scv::spec
               result.counterexample = make_cex(walk, prop.name);
               result.counterexample->steps.push_back(
                 {spec_.actions[a].name, next});
-              finish(result, budget, distinct, fresh);
+              finish(result, budget);
               return result;
             }
           }
 
           current = std::move(next);
-          if (store_ != nullptr)
-          {
-            const auto ins = expander_.admit(
-              *store_,
-              current,
-              cur_id,
-              static_cast<uint32_t>(a),
-              static_cast<uint32_t>(depth + 1),
-              worker_);
-            fresh += ins.inserted ? 1 : 0;
-            cur_id = ins.id;
-          }
+          cur_id = visit(
+            current,
+            next_fp,
+            cur_id,
+            static_cast<uint32_t>(a),
+            static_cast<uint32_t>(depth + 1),
+            result.stats);
           walk.push_back({spec_.actions[a].name, current});
-          note_state(current, distinct, result);
           result.stats.max_depth =
             std::max<uint64_t>(result.stats.max_depth, depth + 1);
 
@@ -310,7 +315,7 @@ namespace scv::spec
             {
               result.ok = false;
               result.counterexample = make_cex(walk, inv.name);
-              finish(result, budget, distinct, fresh);
+              finish(result, budget);
               return result;
             }
           }
@@ -321,15 +326,14 @@ namespace scv::spec
         }
       }
 
-      finish(result, budget, distinct, fresh);
+      finish(result, budget);
       return result;
     }
 
     // ---- threads != 1: independent seeded walks across a WorkerPool ----
 
-    SimResult<S> run_fanout()
+    SimResult<S> run_fanout(const WorkerPool& pool)
     {
-      const WorkerPool pool(options_.threads);
       const unsigned threads = pool.size();
 
       // Workers apply their own (shared-caps) budgets; this one only
@@ -343,19 +347,12 @@ namespace scv::spec
         SimOptions options = options_;
         options.seed = options_.seed + w;
         options.max_behaviors = behaviors_share(threads, w);
-        options.threads = 1; // children run the single-threaded loop
         Simulator<S> sim(spec_, options);
         sim.set_stop_flag(&stop);
-        if (store_ != nullptr)
-        {
-          sim.store_ = store_;
-          sim.worker_ = w;
-          sim.expander_.set_origin(origin());
-        }
-        if (!seeds_.empty())
-        {
-          sim.set_walk_seeds(seeds_);
-        }
+        // One store and one seed list for the whole run.
+        sim.external_ = &store();
+        sim.expander_.set_origin(origin());
+        sim.starts_ = starts_;
         if (observer_)
         {
           sim.set_observer([this, &observer_mu](const S& s) {
@@ -367,7 +364,7 @@ namespace scv::spec
         {
           sim.set_q_features(q_features_);
         }
-        results[w] = sim.run();
+        results[w] = sim.run_single();
         if (!results[w].ok)
         {
           stop.store(true, std::memory_order_release);
@@ -376,26 +373,20 @@ namespace scv::spec
 
       pool.run(work);
 
+      // The store dedups across workers, so the children's first
+      // discoveries sum to the run's distinct states.
       SimResult<S> merged;
-      uint64_t fresh = 0;
-      for (unsigned w = 0; w < threads; ++w)
+      for (SimResult<S>& r : results)
       {
-        SimResult<S>& r = results[w];
         merged.behaviors += r.behaviors;
-        fresh += r.stats.distinct_states;
+        merged.stats.distinct_states += r.stats.distinct_states;
         merged.stats.absorb_counts(r.stats);
         if (!r.ok && merged.ok)
         {
           merged.ok = false;
           merged.counterexample = std::move(r.counterexample);
         }
-        merged.distinct_fingerprints.merge(r.distinct_fingerprints);
       }
-      // A shared store dedups across workers globally, so summing the
-      // children's first-discovery counts is exact; otherwise joint
-      // coverage is the unioned fingerprint set.
-      merged.stats.distinct_states =
-        store_ != nullptr ? fresh : merged.distinct_fingerprints.size();
       merged.stats.seconds = budget.elapsed();
       if (budget.caps().time_budget_seconds < 1e17)
       {
@@ -499,19 +490,23 @@ namespace scv::spec
       return rng_.weighted_pick(weights);
     }
 
-    void note_state(
+    /// Records a visited state keyed `fp` in the store, counts it as a
+    /// first discovery or a revisit, and shows it to the observer.
+    Id visit(
       const S& state,
-      std::unordered_set<uint64_t>& distinct,
-      SimResult<S>& result)
+      uint64_t fp,
+      Id parent,
+      uint32_t action,
+      uint32_t depth,
+      ExplorationStats& stats)
     {
-      (void)result;
-      // Canonical when symmetry is on, so distinct counts (and the
-      // cross-worker union) measure coverage modulo the orbit.
-      distinct.insert(expander_.fingerprint_of(state));
+      const auto ins = store().insert(fp, parent, action, depth, origin());
+      ++(ins.inserted ? stats.distinct_states : stats.duplicate_states);
       if (observer_)
       {
         observer_(state);
       }
+      return ins.id;
     }
 
     static Counterexample<S> make_cex(
@@ -523,28 +518,16 @@ namespace scv::spec
       return cex;
     }
 
-    void finish(
-      SimResult<S>& result,
-      const Budget& budget,
-      std::unordered_set<uint64_t>& distinct,
-      uint64_t fresh)
+    void finish(SimResult<S>& result, const Budget& budget) const
     {
       result.stats.seconds = budget.elapsed();
       if (budget.caps().time_budget_seconds < 1e17)
       {
         result.stats.budget_seconds = budget.caps().time_budget_seconds;
       }
-      result.stats.distinct_states =
-        store_ != nullptr ? fresh : distinct.size();
       result.stats.canonicalized_states = expander_.canonicalized_count();
       result.stats.symmetry_hits = expander_.symmetry_hit_count();
-      if (store_ != nullptr)
-      {
-        result.stats.store_bytes = store_->store_bytes();
-        result.stats.rehash_count = store_->rehash_count();
-      }
       result.stats.complete = false;
-      result.distinct_fingerprints = std::move(distinct);
     }
 
     const SpecDef<S>& spec_;
@@ -555,10 +538,13 @@ namespace scv::spec
     std::function<uint64_t(const S&)> q_features_;
     std::unordered_map<uint64_t, double> q_;
     const std::atomic<bool>* external_stop_ = nullptr;
-    Store* store_ = nullptr;
-    /// Fan-out child: its worker index (the symmetry counter slot).
-    unsigned worker_ = 0;
+    /// The attached campaign store, or else owned_ for the length of run().
+    Store* external_ = nullptr;
+    std::unique_ptr<Store> owned_;
     std::vector<S> seeds_;
+    /// Where walks start: seeds_ or spec_.init. Fan-out children read
+    /// their parent's.
+    const std::vector<S>* starts_ = nullptr;
   };
 
   /// Entry point: dispatches on SimOptions::threads.

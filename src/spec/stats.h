@@ -26,9 +26,10 @@ namespace scv::spec
     uint64_t distinct_states = 0;
     uint64_t generated_states = 0; // including duplicates
     uint64_t transitions = 0;
-    /// Generated states that dedup'd against an already-known state — the
+    /// States that dedup'd against an already-known state — the
     /// fingerprint-store hit count. generated == distinct + duplicate for
-    /// engines that insert every generated state.
+    /// engines that insert every generated state; the simulator inserts
+    /// every visited one (behaviors + transitions).
     uint64_t duplicate_states = 0;
     /// DFS trace validation: dead-end memo lookups that pruned a whole
     /// subtree (also counted in duplicate_states).
@@ -48,8 +49,8 @@ namespace scv::spec
     uint64_t canonicalized_states = 0;
     uint64_t symmetry_hits = 0;
     uint64_t max_depth = 0;
-    /// State-store footprint at the end of the run: resident bytes
-    /// (index + hot arena) and index rehashes.
+    /// State-store footprint at the end of the run: bytes written (index
+    /// slots + one hot record per state) and index rehashes.
     /// Snapshots of the engine's store, not additive across phases
     /// sharing one store — absorb_counts() takes the max.
     uint64_t store_bytes = 0;
@@ -60,7 +61,8 @@ namespace scv::spec
     /// TLC's estimate of the chance that dedup by 64-bit fingerprint
     /// merged two distinct states: distinct × duplicates / 2^64 (see
     /// fp_collision_probability()). The cost of keeping no state bodies,
-    /// kept visible. Set by the checker and the trace validator.
+    /// kept visible. Set by the checker, the simulator and the trace
+    /// validator.
     double fp_collision_probability = 0.0;
     double seconds = 0.0;
     /// The wall-clock allotment this run was given (its

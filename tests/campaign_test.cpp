@@ -501,6 +501,8 @@ TEST(GoldenThreadsOne, SimulateCounterMatchesPreRedesignOutput)
   EXPECT_EQ(result.behaviors, 10u);
   EXPECT_EQ(result.stats.transitions, 70u);
   EXPECT_EQ(result.stats.distinct_states, 8u);
+  // Every other visit of the 80 (10 starts + 70 steps) is a revisit.
+  EXPECT_EQ(result.stats.duplicate_states, 72u);
 }
 
 TEST(GoldenThreadsOne, ValidateIncrementTraceMatchesPreRedesignOutput)

@@ -6,11 +6,14 @@
 // violations and covering the same state space as single-worker runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
+#include "counted_state.h"
 #include "spec/model_checker.h"
 #include "spec/simulator.h"
 #include "specs/consensus/spec.h"
@@ -576,6 +579,30 @@ TEST(ModelCheckerParallel, ConsensusCleanSpecSameCoverageAtFourWorkers)
 // Simulator: fan-out behavior (threads > 1 dispatch)
 // ---------------------------------------------------------------------------
 
+namespace
+{
+  /// A simulation run and the fingerprints of every state it visited,
+  /// collected through the observer hook.
+  template <class S>
+  struct ObservedRun
+  {
+    SimResult<S> result;
+    std::set<uint64_t> visited;
+  };
+
+  template <class S>
+  ObservedRun<S> observed_run(
+    const SpecDef<S>& spec, const SimOptions& options)
+  {
+    ObservedRun<S> run;
+    Simulator<S> sim(spec, options);
+    sim.set_observer(
+      [&run](const S& s) { run.visited.insert(fingerprint(s)); });
+    run.result = sim.run();
+    return run;
+  }
+}
+
 TEST(SimulatorFanout, SingleWorkerMatchesSequentialSimulator)
 {
   const auto spec = die_hard_no_invariants();
@@ -584,15 +611,17 @@ TEST(SimulatorFanout, SingleWorkerMatchesSequentialSimulator)
   options.max_behaviors = 50;
   options.max_depth = 10;
   options.time_budget_seconds = 30.0;
-  const auto sequential = Simulator<Jugs>(spec, options).run();
+  const auto sequential = observed_run(spec, options);
   options.threads = 1;
-  const auto parallel = simulate(spec, options);
-  EXPECT_EQ(parallel.ok, sequential.ok);
-  EXPECT_EQ(parallel.behaviors, sequential.behaviors);
-  EXPECT_EQ(parallel.stats.transitions, sequential.stats.transitions);
-  EXPECT_EQ(parallel.stats.distinct_states, sequential.stats.distinct_states);
+  const auto parallel = observed_run(spec, options);
+  EXPECT_EQ(parallel.result.ok, sequential.result.ok);
+  EXPECT_EQ(parallel.result.behaviors, sequential.result.behaviors);
   EXPECT_EQ(
-    parallel.distinct_fingerprints, sequential.distinct_fingerprints);
+    parallel.result.stats.transitions, sequential.result.stats.transitions);
+  EXPECT_EQ(
+    parallel.result.stats.distinct_states,
+    sequential.result.stats.distinct_states);
+  EXPECT_EQ(parallel.visited, sequential.visited);
 }
 
 TEST(SimulatorFanout, FourWorkersMergeStatsAndCoverage)
@@ -604,7 +633,8 @@ TEST(SimulatorFanout, FourWorkersMergeStatsAndCoverage)
   options.max_depth = 10;
   options.time_budget_seconds = 30.0;
   options.threads = 4;
-  const auto result = simulate(spec, options);
+  const auto run = observed_run(spec, options);
+  const auto& result = run.result;
   EXPECT_TRUE(result.ok);
   EXPECT_EQ(result.behaviors, 40u); // shares sum to the requested budget
   EXPECT_GT(result.stats.transitions, 0u);
@@ -612,8 +642,7 @@ TEST(SimulatorFanout, FourWorkersMergeStatsAndCoverage)
   // reachable states of the puzzle.
   EXPECT_LE(result.stats.distinct_states, 16u);
   EXPECT_GT(result.stats.distinct_states, 0u);
-  EXPECT_EQ(
-    result.distinct_fingerprints.size(), result.stats.distinct_states);
+  EXPECT_EQ(run.visited.size(), result.stats.distinct_states);
 }
 
 TEST(SimulatorFanout, WorkerSeedsAreIndependent)
@@ -628,11 +657,83 @@ TEST(SimulatorFanout, WorkerSeedsAreIndependent)
   options.max_depth = 8;
   options.time_budget_seconds = 30.0;
   options.threads = 4;
-  const auto a = simulate(spec, options);
-  const auto b = simulate(spec, options);
-  EXPECT_EQ(a.behaviors, b.behaviors);
-  EXPECT_EQ(a.stats.transitions, b.stats.transitions);
-  EXPECT_EQ(a.distinct_fingerprints, b.distinct_fingerprints);
+  const auto a = observed_run(spec, options);
+  const auto b = observed_run(spec, options);
+  EXPECT_EQ(a.result.behaviors, b.result.behaviors);
+  EXPECT_EQ(a.result.stats.transitions, b.result.stats.transitions);
+  EXPECT_EQ(a.visited, b.visited);
+}
+
+// Every visited state (a walk start or a transition's target) goes
+// through the one store once: it is either a first discovery or a
+// duplicate, at any worker count.
+TEST(SimulatorFanout, VisitedStatesAreDistinctPlusDuplicates)
+{
+  const auto spec = die_hard_no_invariants();
+  for (const unsigned threads : {1u, 4u})
+  {
+    SimOptions options;
+    options.seed = 3;
+    options.max_behaviors = 64;
+    options.max_depth = 12;
+    options.time_budget_seconds = 30.0;
+    options.threads = threads;
+    const auto result = simulate(spec, options);
+    ASSERT_TRUE(result.ok);
+    EXPECT_EQ(
+      result.stats.distinct_states + result.stats.duplicate_states,
+      result.behaviors + result.stats.transitions)
+      << "threads=" << threads;
+    EXPECT_GT(result.stats.duplicate_states, 0u);
+    EXPECT_GT(result.stats.fp_collision_probability, 0.0);
+    EXPECT_GT(result.stats.store_bytes, 0u);
+  }
+}
+
+// Fan-out children read the parent's walk seeds in place: a 4-worker run
+// over 100 seeds that starts no walk copies no state.
+TEST(SimulatorFanout, ChildrenShareTheWalkSeeds)
+{
+  using test::CountedState;
+  SpecDef<CountedState> spec;
+  spec.name = "counted";
+  spec.init = {CountedState{0}};
+  spec.actions.push_back(
+    {"Step", [](const CountedState& s, const Emit<CountedState>& emit) {
+       emit(CountedState{s.value + 1});
+     }});
+  std::vector<CountedState> seeds;
+  for (int i = 1; i <= 100; ++i)
+  {
+    seeds.emplace_back(i);
+  }
+
+  SimOptions options;
+  options.max_behaviors = 0;
+  options.threads = 4;
+  Simulator<CountedState> idle(spec, options);
+  idle.set_walk_seeds(seeds);
+  CountedState::reset_counts();
+  const auto result = idle.run();
+  EXPECT_EQ(result.behaviors, 0u);
+  EXPECT_EQ(CountedState::copies, 0);
+
+  // The children do start from the parent's seeds when they walk
+  // (CountedState's counters are not thread-safe, so this half walks a
+  // plain counter).
+  options.max_behaviors = 8;
+  options.max_depth = 2;
+  const auto counter = counter_spec(100);
+  Simulator<CounterState> seeded(counter, options);
+  seeded.set_walk_seeds({CounterState{5}, CounterState{50}});
+  int min_seen = 1 << 30;
+  seeded.set_observer([&min_seen](const CounterState& s) {
+    min_seen = std::min(min_seen, s.value);
+  });
+  const auto walked = seeded.run();
+  EXPECT_EQ(walked.behaviors, 8u);
+  EXPECT_EQ(walked.stats.seeded_states, 8u);
+  EXPECT_EQ(min_seen, 5);
 }
 
 TEST(SimulatorFanout, FourWorkersFindViolation)

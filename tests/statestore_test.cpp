@@ -262,6 +262,43 @@ TEST(StoreModes, OriginCountsAreWaitFreeAndSumToSize)
   EXPECT_EQ(store.origin_count(2), 33u);
 }
 
+// store_bytes() counts the index slots and one 16-byte record per stored
+// state, not the slabs records are carved from: the record share is the
+// same at any shard count, and a wide store holding one record is far
+// below one 1 MiB slab.
+TEST(StoreModes, StoreBytesCountRecordsWrittenAtAnyShardCount)
+{
+  using Store = ShardedStateStore<CounterState>;
+  using Record = Store::HotRecord;
+  constexpr int records = 5000;
+  for (const size_t shards : {size_t{1}, size_t{64}})
+  {
+    Store store(shards);
+    // The index the store should hold: one table per shard, fed the same
+    // fingerprints in the same order.
+    std::vector<FlatFpTable> tables(store.shard_count());
+    for (int i = 0; i < records; ++i)
+    {
+      const uint64_t fp = fingerprint(CounterState{i});
+      (void)store.insert(fp, Store::no_parent, Store::init_action, 0);
+      FlatFpTable& table = tables[store.shard_for_fingerprint(fp)];
+      (void)table.find_or_insert(fp, static_cast<uint32_t>(table.size()));
+    }
+    size_t index_bytes = 0;
+    for (const FlatFpTable& table : tables)
+    {
+      index_bytes += table.bytes();
+    }
+    EXPECT_EQ(store.store_bytes() - index_bytes, records * sizeof(Record))
+      << shards << " shards";
+  }
+
+  Store wide(64);
+  (void)wide.insert(
+    fingerprint(CounterState{1}), Store::no_parent, Store::init_action, 0);
+  EXPECT_LT(wide.store_bytes(), size_t{1} << 20);
+}
+
 // ---- Exact replay ----
 
 TEST(Reconstruct, ReplayRebuildsDroppedChain)

@@ -380,6 +380,35 @@ TEST(SymmetryGolden, SimulatorSameWalksCanonicalCoverage)
   EXPECT_LE(r_on.stats.distinct_states, r_off.stats.distinct_states);
 }
 
+// Over an attached campaign store the simulator takes one dedup key per
+// visited state: the canonicalizer runs once per walk start and once per
+// transition, not once more for the store.
+TEST(SymmetryGolden, AttachedSimulatorCanonicalizesOncePerVisitedState)
+{
+  using State = specs::ccfraft::State;
+  const auto spec = specs::ccfraft::build_spec(small_consensus_model());
+  for (const unsigned threads : {1u, 4u})
+  {
+    SimOptions options;
+    options.seed = 42;
+    options.max_behaviors = 40;
+    options.max_depth = 20;
+    options.time_budget_seconds = 60.0;
+    options.symmetry = true;
+    options.threads = threads;
+    ShardedStateStore<State> store(
+      ShardedStateStore<State>::shards_for_workers(threads));
+    Simulator<State> sim(spec, options);
+    sim.attach_store(&store, EngineId::Simulator);
+    const auto r = sim.run();
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(
+      r.stats.canonicalized_states, r.behaviors + r.stats.transitions)
+      << "threads=" << threads;
+    EXPECT_EQ(r.stats.distinct_states, store.size());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fault-closure interaction (Expander::with_faults).
 // ---------------------------------------------------------------------------
